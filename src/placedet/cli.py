@@ -5,8 +5,9 @@ Subcommands expose the exact evaluator (``pe``), the brute-force search
 writer, the Monte Carlo cross-check, and the structural verifiers. Outputs
 are JSON (CSV for sweeps and the majorization matrix) and are pure functions
 of the arguments, so repeated runs are byte-identical. Exit status: 0 on
-success / verification pass, 1 on verification failure, 2 on usage errors or
-refused compute budgets.
+success / verification pass, 1 on verification failure, 2 on usage errors,
+refused compute budgets and any other fault (one line on stderr, no
+traceback).
 """
 
 from __future__ import annotations
@@ -375,11 +376,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return dispatch(config)
     except analysis.BudgetError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+        print(f"refused: {_one_line(exc)}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other fault: status 1 means only a failed verify
+        kind = "out of memory" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {kind}: {_one_line(exc)}", file=sys.stderr)
+        return 2
+
+
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split())
 
 
 if __name__ == "__main__":

@@ -6,14 +6,18 @@ error probability for a placement v over n points is
     P_e(v) = (1/n) * sum_y min_i sum_{j != i} p_j(y)
            = (1/n) * sum_y [ S(y) - max_j p_j(y) ]
 
-since dropping the largest term minimizes the leave-one-out sum. S(y) is
-accumulated from the collapsed pmf table: occupied rows once each plus the
-shared empty-point row weighted n - k. The observation sum runs in ascending
-index order so results are reproducible bit-for-bit.
+since dropping the largest term minimizes the leave-one-out sum. p_j(y)
+depends on y only through the per-block alarm counts, and equal blocks are
+interchangeable, so the sum runs over count classes (multisets of per-block
+alarm counts) weighted by their number of alarm vectors: M + 1 classes for
+the placement 1^M, at most 2^M. S adds the occupied rows once each and the
+shared empty-point row n - k times, in a fixed order, so results are
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,12 +35,13 @@ from .partitions import enumerate_partitions
 TIE_EPS = 1e-9
 """Absolute P_e gap below which placements are reported as tied.
 
-Exact P_e values are sums of at most 2^m double products, so round-off sits
-many orders below this; genuine region boundaries are exact tie loci and must
-surface as ties instead of being broken by noise.
+Exact P_e values are sums over at most 2^m count classes, each an integer
+weight times a few double products, so round-off sits many orders below
+this; genuine region boundaries are exact tie loci and must surface as ties
+instead of being broken by noise.
 """
 
-MAX_SEARCH_M = 20  # exact evaluation is O(2^m); refuse beyond desk scale
+MAX_SEARCH_M = 20  # each partition costs one term per count class; refuse beyond desk scale
 
 MAP_TIE_RTOL = 1e-12
 """Relative slack when collecting MAP argmax ties.
@@ -74,29 +79,46 @@ class Optimum:
     strict: bool
 
 
+def count_classes(counts: tuple[int, ...], n: int):
+    """``(exponents, mult, weight)`` of the count classes of ``counts`` over n points.
+
+    ``exponents`` (4, rows, classes) holds the powers of p_d, 1-p_d, p_f and
+    1-p_f in each row's likelihood of each class; rows are the blocks of
+    ``counts`` in order, then the shared empty row when n > k. ``mult`` is the
+    hypotheses per row, ``weight`` the alarm vectors per class (sum 2^m).
+    """
+    k = len(counts)
+    # per run of g equal blocks of size v: every multiset of own-block alarm
+    # counts, weighted by its arrangements times prod C(v, a)
+    runs = []
+    for v, blocks in itertools.groupby(counts):
+        g = len(list(blocks))
+        runs.append([
+            (alarms, math.factorial(g)
+             // math.prod(math.factorial(alarms.count(a)) for a in set(alarms))
+             * math.prod(math.comb(v, a) for a in alarms))
+            for alarms in itertools.combinations_with_replacement(range(v + 1), g)
+        ])
+    combos = list(itertools.product(*runs))
+    a = np.array([[x for alarms, _ in c for x in alarms] for c in combos], dtype=np.intp).T
+    v = np.array(counts, dtype=np.intp)[:, None]
+    if n > k:  # the empty row: no own block, every alarm is a false alarm
+        a = np.vstack([a, np.zeros_like(a[:1])])
+        v = np.vstack([v, [[0]]])
+    s = a.sum(axis=0)
+    exponents = np.stack([a, v - a, s - a, sum(counts) - s - (v - a)])
+    mult = np.where(np.arange(len(v)) < k, 1.0, n - k)
+    weight = np.array([math.prod(w for _, w in c) for c in combos], dtype=float)
+    return exponents, mult, weight
+
+
 def error_probability(
     placement: Placement, model: SensorModel, n: int | None = None
 ) -> ErrorProbability:
     """Exact P_e of the MAP detector; requires m <= n."""
     n = placement.n if n is None else n
-    if placement.m > n:
-        raise ValueError(f"m={placement.m} sensors exceed n={n} points")
-    if n < placement.k:
-        raise ValueError(f"n={n} smaller than {placement.k} occupied points")
-    table = PmfTable.build(placement, model, n)
-    k = placement.k
-    total = 0.0
-    for y in range(1 << placement.m):
-        col = table.rows[:, y]
-        s = float(col[:k].sum())
-        mx = float(col[:k].max()) if k else 0.0
-        if table.collapsed:
-            empty = float(col[k])
-            s += (n - k) * empty
-            if empty > mx:
-                mx = empty
-        total += s - mx
-    return ErrorProbability(value=total / n, placement=placement, model=model, n=n)
+    value = error_probability_grid(placement.counts, n, [model.p_f], [model.p_d])
+    return ErrorProbability(value=float(value[0]), placement=placement, model=model, n=n)
 
 
 def error_probability_grid(
@@ -105,55 +127,21 @@ def error_probability_grid(
     """Vectorized P_e for one canonical placement at many (p_f, p_d) points.
 
     ``pf`` and ``pd`` are equal-length 1-D arrays; returns the matching P_e
-    array. Same quantity as :func:`error_probability` (the test suite pins
-    agreement); the exponent tables are placement-only, so a sweep touches
-    each grid node with pure array arithmetic.
+    array. :func:`error_probability` is this kernel at a single point. The
+    class table is placement-only, so a sweep touches each grid node with
+    pure array arithmetic on (rows, classes, nodes) arrays.
     """
     m = sum(counts)
     if m > n:
         raise ValueError(f"m={m} sensors exceed n={n} points")
-    a_exp, b_exp, c_exp, d_exp, mult = _exponent_tables(counts, n)
-    pf = np.asarray(pf, dtype=float)
-    pd = np.asarray(pd, dtype=float)
+    (a_exp, b_exp, c_exp, d_exp), mult, weight = count_classes(tuple(counts), n)
+    pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
     ks = np.arange(m + 1)[:, None]
-    pd_pow = pd[None, :] ** ks
-    qd_pow = (1.0 - pd)[None, :] ** ks
-    pf_pow = pf[None, :] ** ks
-    qf_pow = (1.0 - pf)[None, :] ** ks
-    pmf = pd_pow[a_exp] * qd_pow[b_exp] * pf_pow[c_exp] * qf_pow[d_exp]  # (rows, 2^m, G)
+    pd_pow, qd_pow, pf_pow, qf_pow = (p[None, :] ** ks for p in (pd, 1.0 - pd, pf, 1.0 - pf))
+    pmf = pd_pow[a_exp] * qd_pow[b_exp] * pf_pow[c_exp] * qf_pow[d_exp]  # (rows, classes, G)
     s = (mult[:, None, None] * pmf).sum(axis=0)
     mx = pmf.max(axis=0)
-    return (s - mx).sum(axis=0) / n
-
-
-def _exponent_tables(counts: tuple[int, ...], n: int):
-    """Per-row, per-observation exponents of pd, 1-pd, pf, 1-pf, plus row weights."""
-    m = sum(counts)
-    k = len(counts)
-    nrows = k + (1 if n > k else 0)
-    shape = (nrows, 1 << m)
-    a_exp = np.zeros(shape, dtype=np.intp)
-    b_exp = np.zeros(shape, dtype=np.intp)
-    c_exp = np.zeros(shape, dtype=np.intp)
-    d_exp = np.zeros(shape, dtype=np.intp)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    for y in range(1 << m):
-        s = int(y).bit_count()
-        for r in range(nrows):
-            if r < k:
-                v = counts[r]
-                mask = ((1 << v) - 1) << (m - int(offsets[r]) - v)
-                a = int(y & mask).bit_count()
-            else:
-                v, a = 0, 0
-            a_exp[r, y] = a
-            b_exp[r, y] = v - a
-            c_exp[r, y] = s - a
-            d_exp[r, y] = m - s - (v - a)
-    mult = np.ones(nrows)
-    if n > k:
-        mult[k] = n - k
-    return a_exp, b_exp, c_exp, d_exp, mult
+    return (weight[:, None] * (s - mx)).sum(axis=0) / n
 
 
 def map_decide(
@@ -161,17 +149,24 @@ def map_decide(
     placement: Placement,
     model: SensorModel,
     n: int | None = None,
+    *,
+    table: PmfTable | None = None,
 ) -> frozenset[int]:
     """Hypothesis indices attaining the maximum posterior for observation y.
 
     With a uniform prior this is the likelihood argmax; all ties are
     returned (every empty point joins the set whenever the shared
-    empty-point row attains the maximum).
+    empty-point row attains the maximum). ``table`` is a prebuilt
+    :class:`PmfTable` for the same placement, model and n, so that deciding
+    every observation costs one table build instead of one per call.
     """
     n = placement.n if n is None else n
     if placement.m > n:
         raise ValueError(f"m={placement.m} sensors exceed n={n} points")
-    table = PmfTable.build(placement, model, n)
+    if table is None:
+        table = PmfTable.build(placement, model, n)
+    elif (table.placement, table.model, table.n) != (placement, model, n):
+        raise ValueError("table was built for a different placement, model or n")
     values = [table.value(j, y) for j in range(1, n + 1)]
     mx = max(values)
     cut = mx - abs(mx) * MAP_TIE_RTOL

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import map_decide
-from .model import Placement, SensorModel
+from .model import Placement, PmfTable, SensorModel
 
 CHUNK_TRIALS = 1 << 16
 
@@ -98,10 +98,11 @@ def simulate(
 def _decision_tables(placement: Placement, model: SensorModel, n: int):
     """Padded argmax-set table (2^m, n) and tie-set sizes per observation."""
     m = placement.m
+    table = PmfTable.build(placement, model, n)
     tie_table = np.zeros((1 << m, n), dtype=np.int64)
     tie_len = np.zeros(1 << m, dtype=np.int64)
     for y in range(1 << m):
-        ties = sorted(map_decide(y, placement, model, n))
+        ties = sorted(map_decide(y, placement, model, n, table=table))
         tie_len[y] = len(ties)
         tie_table[y, : len(ties)] = ties
     return tie_table, tie_len

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-MAX_M = 40  # downstream exact evaluation costs O(2^m); keep enumeration desk-scale
+MAX_M = 40  # exact P_e sums over each partition's count classes; keep enumeration desk-scale
 
 
 @dataclass(frozen=True)

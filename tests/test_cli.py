@@ -191,6 +191,23 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "fault", [MemoryError("Unable to allocate 9.00 GiB"), RuntimeError("boom\nsecond line")]
+)
+def test_unexpected_fault_exits_two_with_one_line(capsys, monkeypatch, fault):
+    from placedet import analysis
+
+    def fail(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(analysis, "sweep_plane", fail)
+    code, out, err = run(capsys, "sweep", "--m", "3", "--n", "3", "--step", "0.1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("pe", "--m", "3", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "2-1"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placedet import (
+    PmfTable,
     SensorModel,
     canonicalize_placement,
     closed_form_pe2,
@@ -20,6 +21,7 @@ from placedet import (
     observation_index,
     optimal_placements,
 )
+from placedet.detection import count_classes
 
 from oracles import pe_from_positions, positions_from_counts
 
@@ -157,6 +159,54 @@ def test_grid_evaluator_matches_scalar():
             assert abs(grid[g] - scalar) <= 1e-12
 
 
+# (p_f, p_d): interior points on both sides of the diagonal, the diagonal
+# itself (every hypothesis ties), and corners where 0^0 = 1 must hold.
+DIFFERENTIAL_POINTS = ((0.15, 0.8), (0.55, 0.3), (0.4, 0.4), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+
+
+def test_count_class_kernel_matches_oracle_for_every_partition():
+    pf = np.array([p_f for p_f, _ in DIFFERENTIAL_POINTS])
+    pd = np.array([p_d for _, p_d in DIFFERENTIAL_POINTS])
+    for m in range(1, 9):
+        for counts in enumerate_partitions(m):
+            positions = positions_from_counts(counts)
+            for n in (m, m + 2):
+                placement = canonicalize_placement(counts, n=n)
+                grid = error_probability_grid(counts, n, pf, pd)
+                for g, (p_f, p_d) in enumerate(DIFFERENTIAL_POINTS):
+                    expected = pe_from_positions(positions, n, p_d, p_f)
+                    scalar = error_probability(placement, SensorModel(p_d, p_f), n).value
+                    assert abs(grid[g] - expected) <= 1e-12, (counts, n, p_f, p_d)
+                    assert abs(scalar - expected) <= 1e-12, (counts, n, p_f, p_d)
+
+
+def test_grid_evaluator_matches_oracle_at_random_points():
+    # The scalar evaluator is the grid kernel at one point, so the random
+    # points of test_grid_evaluator_matches_scalar are checked here against
+    # the independent per-position oracle instead.
+    rng = random.Random(99)
+    pf = np.array([rng.random() for _ in range(40)])
+    pd = np.array([rng.random() for _ in range(40)])
+    for counts, n in [((2, 1, 1), 5), ((3, 2), 5), ((1, 1, 1, 1), 4), ((4,), 6)]:
+        grid = error_probability_grid(counts, n, pf, pd)
+        positions = positions_from_counts(counts)
+        for g in range(pf.size):
+            expected = pe_from_positions(positions, n, pd[g], pf[g])
+            assert abs(grid[g] - expected) <= 1e-12, (counts, n, pf[g], pd[g])
+
+
+def test_count_class_table_shape():
+    for m in range(1, 9):
+        assert count_classes((1,) * m, m)[2].size == m + 1
+        for counts in enumerate_partitions(m):
+            for n in (m, m + 2):
+                exponents, mult, weight = count_classes(counts, n)
+                assert weight.sum() == 2**m
+                assert mult.sum() == n
+                assert (exponents.sum(axis=0) == m).all()
+    assert sum(count_classes(c, 8)[2].size for c in enumerate_partitions(8)) == 591
+
+
 def test_rejects_more_sensors_than_points():
     with pytest.raises(ValueError):
         error_probability(canonicalize_placement([2, 1], 3), SensorModel(0.9, 0.1), n=2)
@@ -189,6 +239,20 @@ def test_map_decide_ties_across_empty_points():
     placement = canonicalize_placement([2, 2], n=6)
     model = SensorModel(p_d=0.9, p_f=0.1)
     assert map_decide(0, placement, model) == frozenset({3, 4, 5, 6})
+
+
+def test_map_decide_with_prebuilt_table():
+    placement = canonicalize_placement([2, 1], n=4)
+    model = SensorModel(p_d=0.8, p_f=0.2)
+    table = PmfTable.build(placement, model, 4)
+    for y in range(8):
+        assert map_decide(y, placement, model, table=table) == map_decide(y, placement, model)
+    with pytest.raises(ValueError):
+        map_decide(3, placement, SensorModel(p_d=0.7, p_f=0.2), table=table)
+    with pytest.raises(ValueError):
+        map_decide(3, canonicalize_placement([3], n=4), model, table=table)
+    with pytest.raises(ValueError):
+        map_decide(3, placement, model, n=5, table=table)
 
 
 def test_optimal_four_sensors_reliable_corner():

@@ -1,8 +1,18 @@
 """Monte Carlo estimator: agreement with the exact evaluator and determinism."""
 
+import random
+
 import pytest
 
-from placedet import SensorModel, canonicalize_placement, error_probability, simulate
+from placedet import (
+    SensorModel,
+    canonicalize_placement,
+    enumerate_partitions,
+    error_probability,
+    map_decide,
+    simulate,
+)
+from placedet.montecarlo import _decision_tables
 
 
 def test_matches_exact_value_two_sensors():
@@ -72,3 +82,25 @@ def test_std_err_formula():
     result = simulate(placement, model, trials=10_000, seed=7)
     expected = (result.pe_hat * (1 - result.pe_hat) / result.trials) ** 0.5
     assert result.std_err == pytest.approx(expected, rel=1e-12)
+
+
+def test_decision_table_matches_per_observation_map_decide():
+    rng = random.Random(31)
+    models = [
+        SensorModel(p_d=1.0, p_f=0.0),
+        SensorModel(p_d=0.0, p_f=1.0),
+        SensorModel(p_d=1.0, p_f=1.0),
+        SensorModel(p_d=0.0, p_f=0.0),
+        SensorModel(p_d=0.45, p_f=0.45),
+    ]
+    models += [SensorModel(p_d=rng.random(), p_f=rng.random()) for _ in range(5)]
+    for model, m in zip(models, (7, 3, 5, 6, 4, 7, 2, 6, 1, 5)):
+        counts = rng.choice(list(enumerate_partitions(m)))
+        placement = canonicalize_placement(counts, n=rng.randint(m, m + 2))
+        n = placement.n + rng.randint(0, 1)
+        tie_table, tie_len = _decision_tables(placement, model, n)
+        assert tie_table.shape == (1 << m, n)
+        for y in range(1 << m):
+            ties = sorted(map_decide(y, placement, model, n))
+            assert tie_len[y] == len(ties)
+            assert tie_table[y].tolist() == ties + [0] * (n - len(ties))
