@@ -45,19 +45,14 @@ from .model import (
     Placement,
     PmfTable,
     SensorModel,
-    alarm_count_at_point,
-    alarm_total,
     canonicalize_placement,
-    conditional_pmf,
     flip_model,
-    observation_bits,
     observation_index,
 )
 from .montecarlo import SimResult, simulate
 from .partitions import (
     PartitionSet,
     enumerate_partitions,
-    hardy_ramanujan_estimate,
     partition_count,
 )
 
@@ -78,23 +73,18 @@ __all__ = [
     "SimResult",
     "TIE_EPS",
     "VerificationReport",
-    "alarm_count_at_point",
-    "alarm_total",
     "canonicalize_placement",
     "chain_sort",
     "check_conjecture_chain",
     "check_monotone_on_scale",
     "closed_form_pe2",
     "compare",
-    "conditional_pmf",
     "enumerate_partitions",
     "error_probability",
     "error_probability_grid",
     "flip_model",
-    "hardy_ramanujan_estimate",
     "is_chain",
     "map_decide",
-    "observation_bits",
     "observation_index",
     "optimal_placements",
     "partition_count",

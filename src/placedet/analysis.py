@@ -121,27 +121,7 @@ def sweep_plane(
             f"sweep refused: m={m} > {SWEEP_MAX_M} would cost ~{cost:.2e} "
             "pmf evaluations; lower m or call error_probability_grid directly"
         )
-    pf_idx: list[int] = []
-    pd_idx: list[int] = []
-    for i_d in range(len(values)):
-        for i_f in range(len(values)):
-            if region == "pd_ge_pf" and values[i_d] < values[i_f]:
-                continue
-            pf_idx.append(i_f)
-            pd_idx.append(i_d)
-    pf = np.array([values[i] for i in pf_idx])
-    pd = np.array([values[i] for i in pd_idx])
-    cells = _evaluate_cells(m, n, pf, pd, pf_idx, pd_idx, threads)
-    return RegionMap(
-        m=m,
-        n=n,
-        step=step,
-        region=region,
-        pf_values=values,
-        pd_values=values,
-        partitions=tuple(enumerate_partitions(m)),
-        cells=cells,
-    )
+    return _region_map(m, n, step, region, values, values, threads)
 
 
 def sweep_window(
@@ -152,28 +132,25 @@ def sweep_window(
     threads: int = 1,
 ) -> RegionMap:
     """Region map over an explicit rectangle of axis values (no half-plane cut)."""
-    pf_idx = []
-    pd_idx = []
-    for i_d in range(len(pd_values)):
-        for i_f in range(len(pf_values)):
-            pf_idx.append(i_f)
-            pd_idx.append(i_d)
-    pf = np.array([pf_values[i] for i in pf_idx])
-    pd = np.array([pd_values[i] for i in pd_idx])
-    cells = _evaluate_cells(m, n, pf, pd, pf_idx, pd_idx, threads)
-    return RegionMap(
-        m=m,
-        n=n,
-        step=None,
-        region="window",
-        pf_values=tuple(pf_values),
-        pd_values=tuple(pd_values),
-        partitions=tuple(enumerate_partitions(m)),
-        cells=cells,
-    )
+    return _region_map(m, n, None, "window", tuple(pf_values), tuple(pd_values), threads)
 
 
-def _evaluate_cells(m, n, pf, pd, pf_idx, pd_idx, threads) -> tuple[RegionCell, ...]:
+def _nodes(pf_values, pd_values, half_plane: bool):
+    """``(i_f, i_d, pf, pd)`` of every node, p_d outer and p_f inner.
+
+    ``half_plane`` keeps only the nodes with p_d >= p_f.
+    """
+    pf_axis, pd_axis = np.asarray(pf_values, dtype=float), np.asarray(pd_values, dtype=float)
+    i_d, i_f = np.indices((pd_axis.size, pf_axis.size)).reshape(2, -1)
+    if half_plane:
+        keep = pd_axis[i_d] >= pf_axis[i_f]
+        i_d, i_f = i_d[keep], i_f[keep]
+    return i_f, i_d, pf_axis[i_f], pd_axis[i_d]
+
+
+def _region_map(m, n, step, region, pf_values, pd_values, threads) -> RegionMap:
+    """Evaluate every partition of m at the map's nodes and build its cells."""
+    i_f, i_d, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
     parts = tuple(enumerate_partitions(m))
     pes = np.empty((len(parts), pf.size))
 
@@ -196,12 +173,12 @@ def _evaluate_cells(m, n, pf, pd, pf_idx, pd_idx, threads) -> tuple[RegionCell, 
     strict = (tie_counts == 1) & (margin > TIE_EPS)
 
     cells = []
-    for g in range(pf.size):
+    for g, (f, d) in enumerate(zip(i_f.tolist(), i_d.tolist())):
         best = tuple(parts[i] for i in np.nonzero(tie[:, g])[0])
         cells.append(
             RegionCell(
-                i_f=pf_idx[g],
-                i_d=pd_idx[g],
+                i_f=f,
+                i_d=d,
                 p_f=float(pf[g]),
                 p_d=float(pd[g]),
                 best=best,
@@ -210,7 +187,16 @@ def _evaluate_cells(m, n, pf, pd, pf_idx, pd_idx, threads) -> tuple[RegionCell, 
                 strict=bool(strict[g]),
             )
         )
-    return tuple(cells)
+    return RegionMap(
+        m=m,
+        n=n,
+        step=step,
+        region=region,
+        pf_values=pf_values,
+        pd_values=pd_values,
+        partitions=parts,
+        cells=tuple(cells),
+    )
 
 
 def region_csv_text(region_map: RegionMap) -> str:
@@ -345,24 +331,17 @@ class VerificationReport:
         return out
 
 
-def _half_plane_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
-    values = grid_values(step)
-    pf, pd = [], []
-    for d in values:
-        for f in values:
-            if d >= f:
-                pf.append(f)
-                pd.append(d)
-    return np.array(pf), np.array(pd)
-
-
 def verify_thm41(m_max: int = 5, step: float = 0.02) -> VerificationReport:
     """Uniform placement never beats moving one sensor onto a neighbour.
 
     For every m = n <= m_max and every grid node, checks
     P_e(1,...,1) >= P_e(2,1,...,1,0) - tol on the p_d >= p_f half-plane.
+    The claim starts at m = 2, so ``m_max`` < 2 would check nothing.
     """
-    pf, pd = _half_plane_grid(step)
+    if m_max < 2:
+        raise ValueError(f"m_max must be >= 2, got {m_max}")
+    values = grid_values(step)
+    _, _, pf, pd = _nodes(values, values, half_plane=True)
     checked = 0
     worst = -math.inf
     counterexamples = []
@@ -399,8 +378,7 @@ def verify_thm42(m: int, n1: int, n2: int, step: float = 0.05) -> VerificationRe
     if not m < n1 < n2:
         raise ValueError(f"require m < n1 < n2, got {m}, {n1}, {n2}")
     values = grid_values(step)
-    ff, dd = np.meshgrid(values, values)
-    pf, pd = ff.ravel(), dd.ravel()
+    _, _, pf, pd = _nodes(values, values, half_plane=False)
     parts = tuple(enumerate_partitions(m))
     pe1 = {p: error_probability_grid(p, n1, pf, pd) for p in parts}
     pe2 = {p: error_probability_grid(p, n2, pf, pd) for p in parts}

@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
 
 from . import analysis, montecarlo
-from .detection import error_probability, optimal_placements
+from .detection import MAX_SEARCH_M, error_probability, optimal_placements
 from .majorization import MajorizationVerdict, compare
 from .model import SensorModel, canonicalize_placement
 from .partitions import enumerate_partitions
@@ -28,30 +28,6 @@ SCHEMA_VERSION = "1"
 
 _VERIFY_TARGETS = ("thm41", "thm42", "cor41", "prop51", "counterexample", "conjecture")
 _PROP51_PAIRS = ((3, 3), (3, 4), (4, 4), (4, 5), (5, 6))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments for one invocation."""
-
-    subcommand: str
-    m: int | None = None
-    n: int | None = None
-    p_d: float | None = None
-    p_f: float | None = None
-    placement: tuple[int, ...] | None = None
-    step: float | None = None
-    trials: int | None = None
-    seed: int | None = None
-    tie_rule: str | None = None
-    threads: int = 1
-    out: str | None = None
-    fmt: str = "json"
-    target: str | None = None
-    max_m: int | None = None
-    n1: int | None = None
-    n2: int | None = None
-    region: str | None = None
 
 
 def _parse_placement(text: str) -> tuple[int, ...]:
@@ -129,9 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    """Validate the parsed namespace; argparse errors carry exit status 2."""
-    ns = vars(args)
+def validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Validate the parsed namespace in place; argparse errors carry exit status 2.
+
+    Sets ``m`` from ``--placement``, maps ``--ties`` to the simulator's
+    tie-rule names, and caps ``--threads`` at the CPU count (no output
+    depends on the thread count).
+    """
+    ns = vars(args)  # the namespace's own dict: writes land on args
     sub = ns["subcommand"]
     for prob_key in ("pd", "pf"):
         value = ns.get(prob_key)
@@ -147,7 +128,7 @@ def build_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> R
             parser.error("--placement must contain at least one sensor")
         if m is not None and m != total:
             parser.error(f"--m {m} does not match placement total {total}")
-        m = total
+        m = ns["m"] = total
     if m is not None and m < 1:
         parser.error(f"--m must be >= 1, got {m}")
     n = ns.get("n")
@@ -161,10 +142,14 @@ def build_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> R
     threads = ns.get("threads", 1)
     if threads < 1:
         parser.error(f"--threads must be >= 1, got {threads}")
+    if "threads" in ns:
+        ns["threads"] = min(threads, os.cpu_count() or 1)
     tie_rule = ns.get("tie_rule")
     if tie_rule is not None:
-        tie_rule = {"uniform": "uniform_random", "lowest": "lowest_index"}[tie_rule]
+        ns["tie_rule"] = {"uniform": "uniform_random", "lowest": "lowest_index"}[tie_rule]
     target = ns.get("target")
+    if sub == "verify" and target == "thm41" and not 2 <= ns["max_m"] <= MAX_SEARCH_M:
+        parser.error(f"--max-m must be in 2..{MAX_SEARCH_M}, got {ns['max_m']}")
     if sub == "verify" and target == "thm42":
         if ns.get("m") is None or ns.get("n1") is None or ns.get("n2") is None:
             parser.error("verify thm42 requires --m, --n1 and --n2")
@@ -176,26 +161,6 @@ def build_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> R
     if sub == "verify" and target == "prop51":
         if (ns.get("m") is None) != (ns.get("n") is None):
             parser.error("verify prop51 takes --m and --n together (or neither)")
-    return RunConfig(
-        subcommand=sub,
-        m=m,
-        n=n,
-        p_d=ns.get("pd"),
-        p_f=ns.get("pf"),
-        placement=placement,
-        step=ns.get("step"),
-        trials=trials,
-        seed=ns.get("seed"),
-        tie_rule=tie_rule,
-        threads=threads,
-        out=ns.get("out"),
-        fmt=ns.get("fmt", "json"),
-        target=target,
-        max_m=ns.get("max_m"),
-        n1=ns.get("n1"),
-        n2=ns.get("n2"),
-        region=ns.get("region"),
-    )
 
 
 def _jsonable(value):
@@ -221,20 +186,20 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(_jsonable(body), indent=2) + "\n", out)
 
 
-def dispatch(config: RunConfig) -> int:
-    if config.subcommand == "pe":
-        placement = canonicalize_placement(config.placement, config.n)
-        model = SensorModel(p_d=config.p_d, p_f=config.p_f)
-        result = error_probability(placement, model, config.n)
+def dispatch(args: argparse.Namespace) -> int:
+    if args.subcommand == "pe":
+        placement = canonicalize_placement(args.placement, args.n)
+        model = SensorModel(p_d=args.pd, p_f=args.pf)
+        result = error_probability(placement, model, args.n)
         _emit_json(
-            {"pe": result.value, "placement": placement.label(), "n": config.n},
-            config.out,
+            {"pe": result.value, "placement": placement.label(), "n": args.n},
+            args.out,
         )
         return 0
 
-    if config.subcommand == "optimal":
-        model = SensorModel(p_d=config.p_d, p_f=config.p_f)
-        opt = optimal_placements(config.m, config.n, model)
+    if args.subcommand == "optimal":
+        model = SensorModel(p_d=args.pd, p_f=args.pf)
+        opt = optimal_placements(args.m, args.n, model)
         _emit_json(
             {
                 "best": [p.label() for p in opt.best],
@@ -242,25 +207,25 @@ def dispatch(config: RunConfig) -> int:
                 "margin": opt.margin,
                 "strict": opt.strict,
             },
-            config.out,
+            args.out,
         )
         return 0
 
-    if config.subcommand == "partitions":
-        lines = ["-".join(map(str, p)) for p in enumerate_partitions(config.m)]
-        _emit("\n".join(lines) + "\n", config.out)
+    if args.subcommand == "partitions":
+        lines = ["-".join(map(str, p)) for p in enumerate_partitions(args.m)]
+        _emit("\n".join(lines) + "\n", args.out)
         return 0
 
-    if config.subcommand == "majorize":
-        _emit(_majorize_csv(config.m), config.out)
+    if args.subcommand == "majorize":
+        _emit(_majorize_csv(args.m), args.out)
         return 0
 
-    if config.subcommand == "sweep":
+    if args.subcommand == "sweep":
         region_map = analysis.sweep_plane(
-            config.m, config.n, config.step, region=config.region, threads=config.threads
+            args.m, args.n, args.step, region=args.region, threads=args.threads
         )
-        if config.fmt == "csv":
-            _emit(analysis.region_csv_text(region_map), config.out)
+        if args.fmt == "csv":
+            _emit(analysis.region_csv_text(region_map), args.out)
         else:
             cells = [
                 {
@@ -274,24 +239,24 @@ def dispatch(config: RunConfig) -> int:
                 for c in region_map.cells
             ]
             _emit_json(
-                {"m": config.m, "n": config.n, "step": config.step, "cells": cells},
-                config.out,
+                {"m": args.m, "n": args.n, "step": args.step, "cells": cells},
+                args.out,
             )
         return 0
 
-    if config.subcommand == "simulate":
-        placement = canonicalize_placement(config.placement, config.n)
-        model = SensorModel(p_d=config.p_d, p_f=config.p_f)
+    if args.subcommand == "simulate":
+        placement = canonicalize_placement(args.placement, args.n)
+        model = SensorModel(p_d=args.pd, p_f=args.pf)
         sim = montecarlo.simulate(
             placement,
             model,
-            n=config.n,
-            trials=config.trials,
-            seed=config.seed,
-            tie_rule=config.tie_rule,
-            threads=config.threads,
+            n=args.n,
+            trials=args.trials,
+            seed=args.seed,
+            tie_rule=args.tie_rule,
+            threads=args.threads,
         )
-        exact = error_probability(placement, model, config.n).value
+        exact = error_probability(placement, model, args.n).value
         z = (sim.pe_hat - exact) / sim.std_err if sim.std_err > 0 else 0.0
         _emit_json(
             {
@@ -300,52 +265,52 @@ def dispatch(config: RunConfig) -> int:
                 "pe_hat": sim.pe_hat,
                 "std_err": sim.std_err,
                 "seed": sim.seed,
-                "tie_rule": config.tie_rule,
+                "tie_rule": args.tie_rule,
                 "analytic_pe": exact,
                 "z_score": z,
             },
-            config.out,
+            args.out,
         )
         return 0
 
-    if config.subcommand == "verify":
-        reports = _run_verify(config)
+    if args.subcommand == "verify":
+        reports = _run_verify(args)
         if len(reports) == 1:
-            _emit_json(reports[0].to_json_dict(), config.out)
+            _emit_json(reports[0].to_json_dict(), args.out)
         else:
             _emit_json(
-                {"reports": [r.to_json_dict() for r in reports]}, config.out
+                {"reports": [r.to_json_dict() for r in reports]}, args.out
             )
         return 0 if all(r.passed for r in reports) else 1
 
-    raise AssertionError(f"unhandled subcommand {config.subcommand}")
+    raise AssertionError(f"unhandled subcommand {args.subcommand}")
 
 
-def _run_verify(config: RunConfig) -> list[analysis.VerificationReport]:
-    target = config.target
+def _run_verify(args: argparse.Namespace) -> list[analysis.VerificationReport]:
+    target = args.target
     if target == "thm41":
-        step = 0.02 if config.step is None else config.step
-        return [analysis.verify_thm41(m_max=config.max_m, step=step)]
+        step = 0.02 if args.step is None else args.step
+        return [analysis.verify_thm41(m_max=args.max_m, step=step)]
     if target == "thm42":
-        step = 0.05 if config.step is None else config.step
-        return [analysis.verify_thm42(config.m, config.n1, config.n2, step=step)]
+        step = 0.05 if args.step is None else args.step
+        return [analysis.verify_thm42(args.m, args.n1, args.n2, step=step)]
     if target == "cor41":
-        step = 0.01 if config.step is None else config.step
-        m = 3 if config.m is None else config.m
-        return [analysis.verify_cor41(m, step=step, threads=config.threads)]
+        step = 0.01 if args.step is None else args.step
+        m = 3 if args.m is None else args.m
+        return [analysis.verify_cor41(m, step=step, threads=args.threads)]
     if target == "prop51":
-        step = 0.01 if config.step is None else config.step
-        pairs = _PROP51_PAIRS if config.m is None else ((config.m, config.n),)
+        step = 0.01 if args.step is None else args.step
+        pairs = _PROP51_PAIRS if args.m is None else ((args.m, args.n),)
         return [
-            analysis.verify_prop51(m, n, step=step, threads=config.threads)
+            analysis.verify_prop51(m, n, step=step, threads=args.threads)
             for m, n in pairs
         ]
     if target == "counterexample":
-        return [analysis.verify_counterexample(threads=config.threads)]
+        return [analysis.verify_counterexample(threads=args.threads)]
     if target == "conjecture":
-        step = 0.01 if config.step is None else config.step
+        step = 0.01 if args.step is None else args.step
         region_map = analysis.sweep_plane(
-            config.m, config.n, step, threads=config.threads
+            args.m, args.n, step, threads=args.threads
         )
         return [analysis.check_conjecture_chain(region_map)]
     raise AssertionError(f"unhandled verify target {target}")
@@ -372,9 +337,9 @@ def _majorize_csv(m: int) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = build_config(parser, args)
+    validate(parser, args)
     try:
-        return dispatch(config)
+        return dispatch(args)
     except analysis.BudgetError as exc:
         print(f"refused: {_one_line(exc)}", file=sys.stderr)
         return 2

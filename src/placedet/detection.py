@@ -28,7 +28,9 @@ from .model import (
     Placement,
     PmfTable,
     SensorModel,
+    block_exponents,
     canonicalize_placement,
+    likelihoods,
 )
 from .partitions import enumerate_partitions
 
@@ -101,13 +103,8 @@ def count_classes(counts: tuple[int, ...], n: int):
         ])
     combos = list(itertools.product(*runs))
     a = np.array([[x for alarms, _ in c for x in alarms] for c in combos], dtype=np.intp).T
-    v = np.array(counts, dtype=np.intp)[:, None]
-    if n > k:  # the empty row: no own block, every alarm is a false alarm
-        a = np.vstack([a, np.zeros_like(a[:1])])
-        v = np.vstack([v, [[0]]])
-    s = a.sum(axis=0)
-    exponents = np.stack([a, v - a, s - a, sum(counts) - s - (v - a)])
-    mult = np.where(np.arange(len(v)) < k, 1.0, n - k)
+    exponents = block_exponents(a, counts, n)
+    mult = np.where(np.arange(exponents.shape[1]) < k, 1.0, n - k)
     weight = np.array([math.prod(w for _, w in c) for c in combos], dtype=float)
     return exponents, mult, weight
 
@@ -134,11 +131,8 @@ def error_probability_grid(
     m = sum(counts)
     if m > n:
         raise ValueError(f"m={m} sensors exceed n={n} points")
-    (a_exp, b_exp, c_exp, d_exp), mult, weight = count_classes(tuple(counts), n)
-    pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
-    ks = np.arange(m + 1)[:, None]
-    pd_pow, qd_pow, pf_pow, qf_pow = (p[None, :] ** ks for p in (pd, 1.0 - pd, pf, 1.0 - pf))
-    pmf = pd_pow[a_exp] * qd_pow[b_exp] * pf_pow[c_exp] * qf_pow[d_exp]  # (rows, classes, G)
+    exponents, mult, weight = count_classes(tuple(counts), n)
+    pmf = likelihoods(exponents, pf, pd)  # (rows, classes, G)
     s = (mult[:, None, None] * pmf).sum(axis=0)
     mx = pmf.max(axis=0)
     return (weight[:, None] * (s - mx)).sum(axis=0) / n
@@ -167,10 +161,11 @@ def map_decide(
         table = PmfTable.build(placement, model, n)
     elif (table.placement, table.model, table.n) != (placement, model, n):
         raise ValueError("table was built for a different placement, model or n")
-    values = [table.value(j, y) for j in range(1, n + 1)]
-    mx = max(values)
-    cut = mx - abs(mx) * MAP_TIE_RTOL
-    return frozenset(j for j, p in enumerate(values, start=1) if p >= cut)
+    column = table.rows[:, y]
+    mx = column.max()
+    top = column >= mx - abs(mx) * MAP_TIE_RTOL
+    k = placement.k
+    return frozenset(j for j in range(1, n + 1) if top[j - 1 if j <= k else k])
 
 
 def closed_form_pe2(placement: Placement, model: SensorModel) -> float:

@@ -1,4 +1,4 @@
-"""Sensor/placement data model and exact conditional alarm probabilities.
+"""Sensor/placement data model and the exact conditional alarm likelihood.
 
 The observation model: M identical binary sensors are distributed over N
 points. Each sensor alarms with probability ``p_d`` when the intruder is at
@@ -11,6 +11,16 @@ Joint alarm vectors ``(y_1, ..., y_M)`` are packed into integers with y_1 as
 the most significant bit, i.e. the index equals the decimal value of the
 binary string y_1 y_2 ... y_M. Sensors are laid out in block order: the
 first v_1 bits belong to point 1, the next v_2 to point 2, and so on.
+
+With the intruder at point j, holding v sensors of which a alarm, and s
+alarms in total, the alarm vector has likelihood
+
+    p_j(y) = p_d^a (1-p_d)^(v-a) p_f^(s-a) (1-p_f)^(M-s-(v-a))
+
+(an empty point has v = a = 0). :func:`likelihoods` is the one place this
+product is formed; :class:`PmfTable` (one column per alarm vector) and the
+count-class P_e kernel in :mod:`placedet.detection` both hand it exponent
+tables built by :func:`block_exponents`.
 """
 
 from __future__ import annotations
@@ -75,16 +85,6 @@ class Placement:
         """Number of occupied points."""
         return len(self.counts)
 
-    def count_at(self, j: int) -> int:
-        """Sensor count v_j at point j (1-based), 0 for the implicit zero tail."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"point index {j} out of range 1..{self.n}")
-        return self.counts[j - 1] if j <= self.k else 0
-
-    def block_offset(self, j: int) -> int:
-        """Index of the first sensor bit assigned to point j (1-based)."""
-        return sum(self.counts[: j - 1])
-
     def padded(self, length: int | None = None) -> tuple[int, ...]:
         """Counts padded with zeros to ``length`` (default ``n``)."""
         length = self.n if length is None else length
@@ -118,13 +118,6 @@ def canonicalize_placement(raw_counts: Sequence[int], n: int) -> Placement:
     return Placement(trimmed, m, n)
 
 
-def observation_bits(y: ObservationIndex, m: int) -> tuple[int, ...]:
-    """Unpack index into bits (y_1, ..., y_m), y_1 most significant."""
-    if not 0 <= y < (1 << m):
-        raise ValueError(f"observation index {y} out of range for m={m}")
-    return tuple((y >> (m - 1 - k)) & 1 for k in range(m))
-
-
 def observation_index(bits: Iterable[int]) -> ObservationIndex:
     """Pack bits (y_1, ..., y_m) into an index, y_1 most significant."""
     y = 0
@@ -133,61 +126,46 @@ def observation_index(bits: Iterable[int]) -> ObservationIndex:
     return y
 
 
-def alarm_total(y: ObservationIndex) -> int:
-    """Total alarm count s = y_1 + ... + y_M."""
-    return int(y).bit_count()
+def block_exponents(alarms: np.ndarray, counts: Sequence[int], n: int) -> np.ndarray:
+    """(4, rows, cols) exponents of p_d, 1-p_d, p_f and 1-p_f in p_j(y).
 
-
-def alarm_count_at_point(y: ObservationIndex, placement: Placement, j: int) -> int:
-    """Number of alarmed sensors in the block assigned to point j.
-
-    With the block layout, point j owns the contiguous bits at offset
-    v_1 + ... + v_{j-1} of length v_j; returns 0 when v_j = 0.
+    ``alarms`` (k, cols) holds the own-block alarm count of each occupied
+    point in each column (an alarm vector or a count class). Rows are the
+    blocks of ``counts`` in order, then the shared empty row when n > k.
+    The table keeps the dtype of ``alarms``.
     """
-    if not 1 <= j <= placement.n:
-        raise ValueError(f"hypothesis index {j} out of range 1..{placement.n}")
-    v = placement.count_at(j)
-    if v == 0:
-        return 0
-    m = placement.m
-    off = placement.block_offset(j)
-    mask = ((1 << v) - 1) << (m - off - v)
-    return int(y & mask).bit_count()
+    k = len(counts)
+    s = alarms.sum(axis=0, dtype=alarms.dtype)
+    v = np.array(counts, dtype=alarms.dtype)[:, None]
+    if n > k:  # the empty row: no own block, every alarm is a false alarm
+        alarms = np.vstack([alarms, np.zeros_like(alarms[:1])])
+        v = np.vstack([v, np.zeros_like(v[:1])])
+    return np.stack([alarms, v - alarms, s - alarms, sum(counts) - s - (v - alarms)])
 
 
-def conditional_pmf(
-    y: ObservationIndex, j: int, placement: Placement, model: SensorModel
-) -> float:
-    """Probability of the joint alarm vector ``y`` given the intruder at point j.
+def likelihoods(exponents: np.ndarray, pf, pd) -> np.ndarray:
+    """p_d^a (1-p_d)^b p_f^c (1-p_f)^d for each (a, b, c, d) column of ``exponents``.
 
-    For an occupied point the block of v_j own-point sensors alarms with
-    probability p_d each and the remaining M - v_j sensors with p_f each:
-
-        p_j(y) = p_d^a (1-p_d)^(v_j-a) p_f^(s-a) (1-p_f)^(M-s-(v_j-a))
-
-    with s the total alarm count and a the own-block alarm count. For an
-    empty point every sensor is a false-alarm source: p_f^s (1-p_f)^(M-s).
-    The 0^0 = 1 convention makes deterministic sensors (p_d, p_f in {0, 1})
-    exact instead of NaN.
+    ``exponents`` is a (4, rows, cols) integer table; ``pf`` and ``pd`` are
+    equal-length 1-D arrays of (p_f, p_d) nodes. Returns (rows, cols, nodes).
+    0^0 = 1, so deterministic sensors (p_d, p_f in {0, 1}) give exact 0/1
+    entries instead of NaN.
     """
-    m = placement.m
-    s = alarm_total(y)
-    v = placement.count_at(j)
-    pd, pf = model.p_d, model.p_f
-    if v == 0:
-        return pf**s * (1.0 - pf) ** (m - s)
-    a = alarm_count_at_point(y, placement, j)
-    return pd**a * (1.0 - pd) ** (v - a) * pf ** (s - a) * (1.0 - pf) ** (m - s - (v - a))
+    pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
+    ks = np.arange(exponents.max() + 1)[:, None]
+    a, b, c, d = (p[None, :] ** ks for p in (pd, 1.0 - pd, pf, 1.0 - pf))
+    return a[exponents[0]] * b[exponents[1]] * c[exponents[2]] * d[exponents[3]]
 
 
 @dataclass(frozen=True)
 class PmfTable:
-    """Dense conditional pmf table with the empty-point rows collapsed.
+    """Conditional pmf of every alarm vector, with the empty-point rows collapsed.
 
-    Rows 0..k-1 hold p_j for the occupied points; when ``collapsed`` a final
-    shared row holds the common pmf of all n - k empty points (it does not
-    depend on the placement). Columns are observation indices 0..2^M - 1.
-    The array is frozen read-only so tables can be shared across workers.
+    ``rows[r, y]`` is p_j(y): rows 0..k-1 hold the occupied points; when
+    ``collapsed`` a final shared row holds the common pmf of all n - k empty
+    points (it does not depend on the placement). The column is the
+    observation index y in 0..2^M - 1. The array is frozen read-only so
+    tables can be shared across workers.
     """
 
     model: SensorModel
@@ -202,23 +180,17 @@ class PmfTable:
         if n < placement.k:
             raise ValueError(f"n={n} smaller than {placement.k} occupied points")
         m = placement.m
-        k = placement.k
-        collapsed = n > k
-        nrows = k + (1 if collapsed else 0)
-        rows = np.empty((nrows, 1 << m))
-        pd_pow, qd_pow, pf_pow, qf_pow = _power_tables(model, m)
-        offsets = [placement.block_offset(j) for j in range(1, k + 1)]
-        for y in range(1 << m):
-            s = int(y).bit_count()
-            for r in range(k):
-                v = placement.counts[r]
-                mask = ((1 << v) - 1) << (m - offsets[r] - v)
-                a = int(y & mask).bit_count()
-                rows[r, y] = pd_pow[a] * qd_pow[v - a] * pf_pow[s - a] * qf_pow[m - s - (v - a)]
-            if collapsed:
-                rows[k, y] = pf_pow[s] * qf_pow[m - s]
+        y = np.arange(1 << m, dtype=np.int32)
+        # int8 holds every count (M < 32), so the exponent table is half the pmf's size
+        bits = ((y[None, :] >> np.arange(m - 1, -1, -1, dtype=np.int32)[:, None]) & 1).astype(np.int8)
+        starts = np.cumsum((0,) + placement.counts[:-1])
+        alarms = np.add.reduceat(bits, starts, axis=0, dtype=np.int8)  # (k, 2^M) block sums
+        exponents = block_exponents(alarms, placement.counts, n)
+        rows = np.empty(exponents.shape[1:])
+        for r in range(len(rows)):  # row by row: the kernel's temporaries hold 2^M entries
+            rows[r] = likelihoods(exponents[:, r : r + 1], [model.p_f], [model.p_d])[0, :, 0]
         rows.flags.writeable = False
-        return cls(model=model, placement=placement, n=n, rows=rows, collapsed=collapsed)
+        return cls(model=model, placement=placement, n=n, rows=rows, collapsed=n > placement.k)
 
     def row(self, j: int) -> np.ndarray:
         """Pmf row for hypothesis j (1-based); empty points share the last row."""
@@ -226,25 +198,3 @@ class PmfTable:
             raise ValueError(f"hypothesis index {j} out of range 1..{self.n}")
         k = self.placement.k
         return self.rows[j - 1] if j <= k else self.rows[k]
-
-    def value(self, j: int, y: ObservationIndex) -> float:
-        return float(self.row(j)[y])
-
-    def multiplicities(self) -> np.ndarray:
-        """Hypothesis multiplicity per stored row (empty row counts n - k times)."""
-        k = self.placement.k
-        mult = np.ones(self.rows.shape[0])
-        if self.collapsed:
-            mult[k] = self.n - k
-        return mult
-
-
-def _power_tables(model: SensorModel, m: int):
-    """pd^k, (1-pd)^k, pf^k, (1-pf)^k for k = 0..m (0^0 = 1 by float rules)."""
-    pd, pf = model.p_d, model.p_f
-    return (
-        [pd**k for k in range(m + 1)],
-        [(1.0 - pd) ** k for k in range(m + 1)],
-        [pf**k for k in range(m + 1)],
-        [(1.0 - pf) ** k for k in range(m + 1)],
-    )

@@ -8,7 +8,6 @@ argmin tie-breaking downstream depend on it being stable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -52,13 +51,3 @@ def partition_count(m: int) -> int:
     """Number of partitions of m (the partition function)."""
     return len(enumerate_partitions(m))
 
-
-def hardy_ramanujan_estimate(m: int) -> float:
-    """Asymptotic partition count e^(pi sqrt(2m/3)) / (4 m sqrt(3)).
-
-    A diagnostic for search-space size only; overestimates at small m
-    (ratio ~1.15 at m=10) and tightens as m grows.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return math.exp(math.pi * math.sqrt(2.0 * m / 3.0)) / (4.0 * m * math.sqrt(3.0))

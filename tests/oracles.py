@@ -35,6 +35,11 @@ def positions_from_counts(counts) -> list[int]:
     return [j for j, v in enumerate(counts, start=1) for _ in range(v)]
 
 
+def bits_from_index(y: int, m: int) -> list[int]:
+    """Alarm bits (y_1, ..., y_m) of an observation index, y_1 most significant."""
+    return [(y >> (m - 1 - k)) & 1 for k in range(m)]
+
+
 def pmf_from_positions(bits, j: int, positions, pd: float, pf: float) -> float:
     """Joint alarm probability as a plain product over sensors."""
     prob = 1.0
@@ -49,7 +54,7 @@ def pe_from_positions(positions, n: int, pd: float, pf: float) -> float:
     m = len(positions)
     total = 0.0
     for idx in range(1 << m):
-        bits = [(idx >> (m - 1 - k)) & 1 for k in range(m)]
+        bits = bits_from_index(idx, m)
         rows = [pmf_from_positions(bits, j, positions, pd, pf) for j in range(1, n + 1)]
         total += min(sum(rows) - rows[i] for i in range(n))
     return total / n

@@ -150,6 +150,12 @@ def test_verify_thm41_passes_coarse():
     }
 
 
+def test_verify_thm41_rejects_empty_range():
+    # m starts at 2, so m_max = 1 would report a pass that checked nothing
+    with pytest.raises(ValueError):
+        verify_thm41(m_max=1)
+
+
 def test_verify_thm42_passes():
     report = verify_thm42(3, 4, 6, step=0.1)
     assert report.passed and report.max_violation <= 1e-10

@@ -217,12 +217,38 @@ def test_unexpected_fault_exits_two_with_one_line(capsys, monkeypatch, fault):
         ("verify", "thm42", "--m", "4", "--n1", "4", "--n2", "6"),
         ("verify", "conjecture", "--m", "4"),
         ("simulate", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "2", "--trials", "0"),
+        ("verify", "thm41", "--max-m", "1"),
+        ("verify", "thm41", "--max-m", "21"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("cpus, threads, expected", [(3, "64", 3), (3, "2", 2), (None, "4", 1)])
+def test_threads_capped_at_cpu_count(capsys, monkeypatch, cpus, threads, expected):
+    # the fakes only record the thread count, so no thread is ever started
+    from placedet import analysis, montecarlo
+
+    seen = []
+
+    def fake_sweep(m, n, step, region, threads):
+        seen.append(threads)
+        return analysis.RegionMap(m, n, step, region, (), (), (), ())
+
+    def fake_simulate(placement, model, n, trials, seed, tie_rule, threads):
+        seen.append(threads)
+        return montecarlo.SimResult(trials, 0, 0.0, 0.0, seed)
+
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    monkeypatch.setattr(analysis, "sweep_plane", fake_sweep)
+    monkeypatch.setattr(montecarlo, "simulate", fake_simulate)
+    assert main(["sweep", "--m", "3", "--n", "3", "--threads", threads]) == 0
+    assert main(["simulate", "--n", "2", "--pd", "0.6", "--pf", "0.2",
+                 "--placement", "2", "--threads", threads]) == 0
+    assert seen == [expected, expected]
 
 
 def test_placement_parse_error(capsys):

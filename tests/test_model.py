@@ -9,17 +9,24 @@ from hypothesis import strategies as st
 from placedet import (
     PmfTable,
     SensorModel,
-    alarm_count_at_point,
-    alarm_total,
     canonicalize_placement,
-    conditional_pmf,
     flip_model,
-    observation_bits,
     observation_index,
 )
 from placedet.partitions import enumerate_partitions
 
-from oracles import pmf_from_positions, positions_from_counts
+from oracles import bits_from_index, pmf_from_positions, positions_from_counts
+
+
+def pmf(y, j, placement, model):
+    """p_j(y) read from the placement's PmfTable."""
+    return PmfTable.build(placement, model).row(j)[y]
+
+
+def block_pmf(a, v, s, m, model):
+    """p_j(y) written out for a point with v sensors, a own alarms, s alarms in all."""
+    pd, pf = model.p_d, model.p_f
+    return pd**a * (1 - pd) ** (v - a) * pf ** (s - a) * (1 - pf) ** (m - s - (v - a))
 
 
 def test_canonicalize_sorts_and_trims():
@@ -60,40 +67,43 @@ def test_canonicalize_rejects(raw, n):
 
 def test_observation_roundtrip():
     assert observation_index((1, 0, 1, 1)) == 0b1011
-    assert observation_bits(0b1011, 4) == (1, 0, 1, 1)
     for y in range(16):
-        assert observation_index(observation_bits(y, 4)) == y
-    assert alarm_total(0b1011) == 3
+        assert observation_index(bits_from_index(y, 4)) == y
+
+
+# The own-block alarm count a_j of each point, read back through the table:
+# with p_d != p_f each a_j gives a different p_j(y).
+MODEL = SensorModel(p_d=0.9, p_f=0.2)
 
 
 def test_alarm_count_blocks():
     p = canonicalize_placement([2, 1, 1, 0], n=4)
     y = observation_index((1, 0, 1, 1))
-    assert alarm_count_at_point(y, p, 1) == 1   # block bits y1,y2 = 1,0
-    assert alarm_count_at_point(y, p, 2) == 1
-    assert alarm_count_at_point(y, p, 3) == 1
-    assert alarm_count_at_point(y, p, 4) == 0   # empty point
+    for j, a in zip(range(1, 5), (1, 1, 1, 0)):  # block bits y1,y2 = 1,0; point 4 empty
+        assert pmf(y, j, p, MODEL) == pytest.approx(
+            block_pmf(a, p.padded()[j - 1], 3, 4, MODEL), abs=1e-15
+        )
 
 
 def test_alarm_count_all_ones_gives_block_size():
     p = canonicalize_placement([3, 2, 1], n=6)
     y = (1 << 6) - 1
-    for j in range(1, 7):
-        assert alarm_count_at_point(y, p, j) == p.count_at(j)
+    for j, v in enumerate(p.padded(), start=1):
+        assert pmf(y, j, p, MODEL) == pytest.approx(block_pmf(v, v, 6, 6, MODEL), abs=1e-15)
 
 
 def test_alarm_count_empty_block():
     p = canonicalize_placement([2, 2, 0, 0], n=4)
     y = observation_index((1, 1, 0, 0))
-    assert alarm_count_at_point(y, p, 2) == 0
+    assert pmf(y, 2, p, MODEL) == pytest.approx(block_pmf(0, 2, 2, 4, MODEL), abs=1e-15)
 
 
 def test_alarm_count_rejects_bad_hypothesis():
-    p = canonicalize_placement([2, 1], n=3)
+    table = PmfTable.build(canonicalize_placement([2, 1], n=3), MODEL)
     with pytest.raises(ValueError):
-        alarm_count_at_point(0, p, 0)
+        table.row(0)
     with pytest.raises(ValueError):
-        alarm_count_at_point(0, p, 4)
+        table.row(4)
 
 
 def test_pmf_single_point_two_sensors():
@@ -101,8 +111,8 @@ def test_pmf_single_point_two_sensors():
     model = SensorModel(p_d=0.7, p_f=0.2)
     y11 = observation_index((1, 1))
     y10 = observation_index((1, 0))
-    assert conditional_pmf(y11, 1, p, model) == pytest.approx(0.7**2, abs=1e-15)
-    assert conditional_pmf(y10, 2, p, model) == pytest.approx(0.2 * 0.8, abs=1e-15)
+    assert pmf(y11, 1, p, model) == pytest.approx(0.7**2, abs=1e-15)
+    assert pmf(y10, 2, p, model) == pytest.approx(0.2 * 0.8, abs=1e-15)
 
 
 def test_pmf_frozen_spot_values():
@@ -113,23 +123,22 @@ def test_pmf_frozen_spot_values():
     model = SensorModel(p_d=0.9, p_f=0.1)
     y0001 = observation_index((0, 0, 0, 1))
     y0010 = observation_index((0, 0, 1, 0))
-    assert conditional_pmf(y0001, 3, p, model) == pytest.approx(0.6561, abs=1e-15)
-    assert conditional_pmf(y0010, 2, p, model) == pytest.approx(0.6561, abs=1e-15)
-    assert conditional_pmf(y0010, 3, p, model) == pytest.approx(0.0081, abs=1e-15)
+    assert pmf(y0001, 3, p, model) == pytest.approx(0.6561, abs=1e-15)
+    assert pmf(y0010, 2, p, model) == pytest.approx(0.6561, abs=1e-15)
+    assert pmf(y0010, 3, p, model) == pytest.approx(0.0081, abs=1e-15)
 
 
 def test_pmf_matches_position_vector_oracle():
     model = SensorModel(p_d=0.83, p_f=0.21)
     for counts in [(2, 1, 1), (3,), (1, 1, 1, 1), (2, 2)]:
         p = canonicalize_placement(counts, n=5)
+        table = PmfTable.build(p, model)
         positions = positions_from_counts(p.counts)
         for y in range(1 << p.m):
-            bits = observation_bits(y, p.m)
+            bits = bits_from_index(y, p.m)
             for j in range(1, 6):
                 expected = pmf_from_positions(bits, j, positions, model.p_d, model.p_f)
-                assert conditional_pmf(y, j, p, model) == pytest.approx(
-                    expected, abs=1e-14
-                )
+                assert table.row(j)[y] == pytest.approx(expected, abs=1e-14)
 
 
 def test_pmf_table_rows_normalize_for_all_small_placements():
@@ -150,9 +159,8 @@ def test_pmf_table_collapses_empty_rows():
     assert table.rows.shape == (3, 8)
     for j in (3, 4, 5, 6):
         assert table.row(j) is table.rows[2] or (table.row(j) == table.rows[2]).all()
-    assert list(table.multiplicities()) == [1.0, 1.0, 4.0]
     with pytest.raises(ValueError):
-        table.value(7, 0)
+        table.row(7)
 
 
 def test_pmf_table_no_empty_row_when_full():
@@ -173,8 +181,8 @@ def test_degenerate_sensors_are_exact():
     p = canonicalize_placement([2, 1], n=3)
     model = SensorModel(p_d=1.0, p_f=0.0)
     table = PmfTable.build(p, model)
-    assert table.value(1, observation_index((1, 1, 0))) == 1.0
-    assert table.value(2, observation_index((0, 0, 1))) == 1.0
+    assert table.row(1)[observation_index((1, 1, 0))] == 1.0
+    assert table.row(2)[observation_index((0, 0, 1))] == 1.0
     assert table.rows.shape == (3, 8)  # two occupied rows plus the empty row
     assert table.rows.sum(axis=1) == pytest.approx([1.0, 1.0, 1.0], abs=0)
     assert set(table.rows.ravel()) <= {0.0, 1.0}
@@ -199,9 +207,10 @@ def test_bit_flip_symmetry(p_d, p_f, y):
     model = SensorModel(p_d, p_f)
     flipped = flip_model(model)
     y_comp = (~y) & 31
+    table, flipped_table = PmfTable.build(placement, model), PmfTable.build(placement, flipped)
     for j in range(1, 6):
-        lhs = conditional_pmf(y, j, placement, model)
-        rhs = conditional_pmf(y_comp, j, placement, flipped)
+        lhs = table.row(j)[y]
+        rhs = flipped_table.row(j)[y_comp]
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -224,6 +233,5 @@ def test_placement_helpers():
     p = canonicalize_placement([3, 2, 1], n=7)
     assert p.k == 3
     assert p.padded() == (3, 2, 1, 0, 0, 0, 0)
-    assert p.block_offset(3) == 5
     assert p.label() == "3-2-1"
     assert math.isclose(sum(p.counts), p.m)

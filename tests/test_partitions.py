@@ -1,11 +1,10 @@
-"""Partition enumeration, counts, and the asymptotic estimate."""
+"""Partition enumeration and counts."""
 
 import pytest
 
 from placedet import (
     canonicalize_placement,
     enumerate_partitions,
-    hardy_ramanujan_estimate,
     partition_count,
 )
 
@@ -68,26 +67,4 @@ def test_bounds():
         enumerate_partitions(0)
     with pytest.raises(ValueError):
         enumerate_partitions(41)
-    with pytest.raises(ValueError):
-        hardy_ramanujan_estimate(0)
 
-
-def test_estimate_at_ten():
-    est = hardy_ramanujan_estimate(10)
-    assert est == pytest.approx(48.1, abs=0.2)
-    assert 1.0 <= est / partition_count(10) <= 1.25
-
-
-def test_estimate_at_four_same_order():
-    est = hardy_ramanujan_estimate(4)
-    assert est == pytest.approx(6.1, abs=0.2)
-    assert 0.5 <= est / partition_count(4) <= 2.0
-
-
-def test_estimate_monotone():
-    values = [hardy_ramanujan_estimate(m) for m in range(1, 41)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_estimate_tightens():
-    assert abs(hardy_ramanujan_estimate(30) / partition_count(30) - 1.0) < 0.15
