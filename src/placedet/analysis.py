@@ -2,12 +2,15 @@
 
 A region map evaluates the brute-force optimum at every node of a regular
 grid over the unit square (by default restricted to the p_d >= p_f half where
-sensors are better than chance). Tie cells keep their full tie set; nothing
-is ever broken silently. On top of the maps sit numerical verifiers for the
-structural claims: uniform placement is never the unique optimum when m = n,
-scaled P_e differences are invariant in the point count, adding one extra
-point enlarges the strict-optimal set by exactly the uniform placement,
-the optimum moves monotonically along a majorization chain for m <= 5, and
+sensors are better than chance). The map is a set of per-node arrays (the
+minimum, the full tie set, the margin and strictness); ``RegionMap.cells``
+builds one :class:`RegionCell` per node only when read. Tie nodes keep their
+full tie set; nothing is ever broken silently. On top of the maps sit
+numerical verifiers for the structural claims, all reading the arrays:
+uniform placement is never the unique optimum when m = n, scaled P_e
+differences are invariant in the point count, adding one extra point
+enlarges the strict-optimal set by exactly the uniform placement, the
+optimum moves monotonically along a majorization chain for m <= 5, and
 that monotonicity fails for (m, n) = (7, 8).
 """
 
@@ -16,13 +19,14 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import TIE_EPS, error_probability_grid, optimal_placements
-from .majorization import PlacementScale, chain_sort, is_chain
+from .detection import TIE_EPS, class_count, error_probability_grid, optimal_placements
+from .majorization import MajorizationVerdict, PlacementScale, chain_sort, compare, is_chain
 from .model import SensorModel
 from .partitions import enumerate_partitions
 
@@ -42,7 +46,10 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class RegionCell:
-    """Brute-force optimum at one grid node; ``best`` keeps all ties."""
+    """Brute-force optimum at one grid node; ``best`` keeps all ties.
+
+    Built on demand from a :class:`RegionMap`'s arrays by ``cells[g]``.
+    """
 
     i_f: int
     i_d: int
@@ -58,12 +65,20 @@ class RegionCell:
         return len(self.best)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionMap:
-    """Optimal-placement structure over a (p_f, p_d) grid.
+    """Optimal-placement structure over a (p_f, p_d) grid, as per-node arrays.
 
-    Cells are stored in row order: p_d ascending outer, p_f ascending inner.
+    Nodes are stored in row order: p_d ascending outer, p_f ascending inner.
     ``step`` is None for ad-hoc window maps built from explicit axis values.
+    Node g sits at axis indices ``i_f[g]``, ``i_d[g]`` and values ``pf[g]``,
+    ``pd[g]``. ``tie[i, g]`` marks partition i within TIE_EPS of the minimum
+    ``pe_min[g]``; ``margin[g]`` is the gap to the best non-tied partition
+    (+inf when none); ``strict[g]`` marks a unique minimiser with positive
+    margin; ``winner[g]`` indexes the first tied partition, which is the
+    unique one at a strict node. ``cells`` shows the same nodes as
+    :class:`RegionCell` objects. Maps compare by identity (array fields have
+    no single truth value).
     """
 
     m: int
@@ -73,25 +88,69 @@ class RegionMap:
     pf_values: tuple[float, ...]
     pd_values: tuple[float, ...]
     partitions: tuple[Counts, ...]
-    cells: tuple[RegionCell, ...]
+    i_f: np.ndarray
+    i_d: np.ndarray
+    pf: np.ndarray
+    pd: np.ndarray
+    tie: np.ndarray
+    pe_min: np.ndarray
+    margin: np.ndarray
+    strict: np.ndarray
+    winner: np.ndarray
 
-    def rows(self) -> list[list[RegionCell]]:
-        """Cells grouped by fixed p_d, each row ordered by ascending p_f."""
-        by_row: dict[int, list[RegionCell]] = {}
-        for cell in self.cells:
-            by_row.setdefault(cell.i_d, []).append(cell)
-        return [by_row[i] for i in sorted(by_row)]
+    @classmethod
+    def from_pes(
+        cls, m, n, step, region, pf_values, pd_values, partitions, pes: np.ndarray
+    ) -> RegionMap:
+        """Tie-aware argmin of ``pes`` (one row per partition, one column per node).
 
-    def columns(self) -> list[list[RegionCell]]:
-        """Cells grouped by fixed p_f, each column ordered by ascending p_d."""
-        by_col: dict[int, list[RegionCell]] = {}
-        for cell in self.cells:
-            by_col.setdefault(cell.i_f, []).append(cell)
-        return [sorted(by_col[i], key=lambda c: c.i_d) for i in sorted(by_col)]
+        The nodes are those of the axis values, cut to p_d >= p_f when
+        ``region`` is ``pd_ge_pf``.
+        """
+        i_f, i_d, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
+        pe_min = pes.min(axis=0)
+        tie = (pes - pe_min[None, :]) <= TIE_EPS
+        margin = np.where(tie, np.inf, pes).min(axis=0) - pe_min
+        strict = (tie.sum(axis=0) == 1) & (margin > TIE_EPS)
+        return cls(
+            m, n, step, region, pf_values, pd_values, partitions,
+            i_f, i_d, pf, pd, tie, pe_min, margin, strict, tie.argmax(axis=0),
+        )
+
+    @property
+    def cells(self) -> RegionCells:
+        """The nodes as :class:`RegionCell` objects, each built when read."""
+        return RegionCells(self)
 
     def strict_placements(self) -> set[Counts]:
         """Every placement that is the unique optimum somewhere on the map."""
-        return {cell.best[0] for cell in self.cells if cell.strict}
+        return {self.partitions[i] for i in np.unique(self.winner[self.strict]).tolist()}
+
+
+class RegionCells(Sequence):
+    """Read-only sequence view of a map's nodes; ``len`` costs nothing."""
+
+    def __init__(self, region_map: RegionMap) -> None:
+        self._map = region_map
+
+    def __len__(self) -> int:
+        return self._map.pe_min.size
+
+    def __getitem__(self, index):
+        g = range(len(self))[index]
+        if isinstance(g, range):
+            return tuple(self[i] for i in g)
+        rm = self._map
+        return RegionCell(
+            i_f=int(rm.i_f[g]),
+            i_d=int(rm.i_d[g]),
+            p_f=float(rm.pf[g]),
+            p_d=float(rm.pd[g]),
+            best=tuple(rm.partitions[i] for i in np.nonzero(rm.tie[:, g])[0]),
+            pe_min=float(rm.pe_min[g]),
+            margin=float(rm.margin[g]),
+            strict=bool(rm.strict[g]),
+        )
 
 
 def grid_values(step: float) -> tuple[float, ...]:
@@ -116,9 +175,13 @@ def sweep_plane(
         raise ValueError(f"unknown region {region!r}")
     values = grid_values(step)
     if m > SWEEP_MAX_M:
-        cost = len(values) ** 2 * len(enumerate_partitions(m)) * (1 << m)
+        side = len(values)
+        nodes = side * (side + 1) // 2 if region == "pd_ge_pf" else side * side
+        terms = sum(
+            (len(p) + (n > len(p))) * class_count(p) for p in enumerate_partitions(m)
+        )
         raise BudgetError(
-            f"sweep refused: m={m} > {SWEEP_MAX_M} would cost ~{cost:.2e} "
+            f"sweep refused: m={m} > {SWEEP_MAX_M} would cost ~{nodes * terms:.2e} "
             "pmf evaluations; lower m or call error_probability_grid directly"
         )
     return _region_map(m, n, step, region, values, values, threads)
@@ -149,8 +212,8 @@ def _nodes(pf_values, pd_values, half_plane: bool):
 
 
 def _region_map(m, n, step, region, pf_values, pd_values, threads) -> RegionMap:
-    """Evaluate every partition of m at the map's nodes and build its cells."""
-    i_f, i_d, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
+    """Evaluate every partition of m at the map's nodes and take the argmin."""
+    _, _, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
     parts = tuple(enumerate_partitions(m))
     pes = np.empty((len(parts), pf.size))
 
@@ -163,51 +226,26 @@ def _region_map(m, n, step, region, pf_values, pd_values, threads) -> RegionMap:
     else:
         for i in range(len(parts)):
             run(i)
-
-    pe_min = pes.min(axis=0)
-    tie = (pes - pe_min[None, :]) <= TIE_EPS
-    competitors = np.where(tie, np.inf, pes)
-    second = competitors.min(axis=0)
-    margin = second - pe_min
-    tie_counts = tie.sum(axis=0)
-    strict = (tie_counts == 1) & (margin > TIE_EPS)
-
-    cells = []
-    for g, (f, d) in enumerate(zip(i_f.tolist(), i_d.tolist())):
-        best = tuple(parts[i] for i in np.nonzero(tie[:, g])[0])
-        cells.append(
-            RegionCell(
-                i_f=f,
-                i_d=d,
-                p_f=float(pf[g]),
-                p_d=float(pd[g]),
-                best=best,
-                pe_min=float(pe_min[g]),
-                margin=float(margin[g]),
-                strict=bool(strict[g]),
-            )
-        )
-    return RegionMap(
-        m=m,
-        n=n,
-        step=step,
-        region=region,
-        pf_values=pf_values,
-        pd_values=pd_values,
-        partitions=parts,
-        cells=tuple(cells),
-    )
+    return RegionMap.from_pes(m, n, step, region, pf_values, pd_values, parts, pes)
 
 
 def region_csv_text(region_map: RegionMap) -> str:
     """CSV dump: one row per node, row order = p_d outer / p_f inner ascending."""
+    rm = region_map
+    labels = ["-".join(map(str, p)) for p in rm.partitions]
+    columns = zip(
+        rm.pf.tolist(),
+        rm.pd.tolist(),
+        rm.winner.tolist(),
+        rm.tie.sum(axis=0).tolist(),
+        rm.pe_min.tolist(),
+        rm.margin.tolist(),
+    )
     lines = ["p_f,p_d,best,tie_count,pe_min,margin"]
-    for cell in region_map.cells:
-        best = "-".join(str(v) for v in cell.best[0])
-        lines.append(
-            f"{cell.p_f:.6g},{cell.p_d:.6g},{best},{cell.tie_count},"
-            f"{cell.pe_min!r},{cell.margin!r}"
-        )
+    lines += [
+        f"{p_f:.6g},{p_d:.6g},{labels[w]},{ties},{pe_min!r},{margin!r}"
+        for p_f, p_d, w, ties, pe_min, margin in columns
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -461,52 +499,44 @@ def check_monotone_on_scale(
     """
     if axis not in ("increasing_pf", "increasing_pd"):
         raise ValueError(f"unknown axis {axis!r}")
-    lanes = region_map.rows() if axis == "increasing_pf" else region_map.columns()
-    skipped_ties = 0
-    off_scale: set[Counts] = set()
-    skipped_off_scale = 0
-    checked = 0
-    violations = []
-    worst_drop = 0
-    for lane in lanes:
-        previous_level = None
-        previous_cell = None
-        for cell in lane:
-            if not cell.strict:
-                skipped_ties += 1
-                continue
-            winner = cell.best[0]
-            if winner not in scale:
-                off_scale.add(winner)
-                skipped_off_scale += 1
-                continue
-            level = scale.level(winner)
-            checked += 1
-            if previous_level is not None and level < previous_level:
-                drop = previous_level - level
-                worst_drop = max(worst_drop, drop)
-                violations.append(
-                    {
-                        "axis": axis,
-                        "p_f": cell.p_f,
-                        "p_d": cell.p_d,
-                        "from": "-".join(map(str, previous_cell.best[0])),
-                        "to": "-".join(map(str, winner)),
-                        "level_drop": drop,
-                    }
-                )
-            previous_level = level
-            previous_cell = cell
+    rm = region_map
+    labels = ["-".join(map(str, p)) for p in rm.partitions]
+    # -1 marks a partition that is not on the scale
+    levels = np.array([scale.level(p) if p in scale else -1 for p in rm.partitions], dtype=int)
+    level = levels[rm.winner]
+    counted = rm.strict & (level >= 0)
+    off_scale = rm.strict & (level < 0)
+    lane, along = (rm.i_d, rm.i_f) if axis == "increasing_pf" else (rm.i_f, rm.i_d)
+    order = np.lexsort((along, lane))
+    walk = order[counted[order]]  # counted nodes, lane by lane, ascending along each
+    drop = level[walk][:-1] - level[walk][1:]
+    hits = np.nonzero((lane[walk][1:] == lane[walk][:-1]) & (drop > 0))[0]
+    violations = [
+        {
+            "axis": axis,
+            "p_f": float(rm.pf[g]),
+            "p_d": float(rm.pd[g]),
+            "from": labels[rm.winner[prev]],
+            "to": labels[rm.winner[g]],
+            "level_drop": d,
+        }
+        for prev, g, d in zip(
+            walk[hits].tolist(), walk[hits + 1].tolist(), drop[hits].tolist()
+        )
+    ]
+    worst_drop = max((v["level_drop"] for v in violations), default=0)
     return VerificationReport(
         claim=f"optimum-monotone-on-scale/{axis}",
-        checked=checked,
+        checked=int(counted.sum()),
         max_violation=float(worst_drop),
         counterexamples=tuple(violations),
         passed=not violations,
         notes={
-            "skipped_ties": skipped_ties,
-            "skipped_off_scale": skipped_off_scale,
-            "off_scale_placements": sorted("-".join(map(str, p)) for p in off_scale),
+            "skipped_ties": int((~rm.strict).sum()),
+            "skipped_off_scale": int(off_scale.sum()),
+            "off_scale_placements": sorted(
+                labels[i] for i in np.unique(rm.winner[off_scale]).tolist()
+            ),
         },
     )
 
@@ -626,24 +656,28 @@ def check_conjecture_chain(region_map: RegionMap) -> VerificationReport:
             passed=False,
             notes={"strict_set": ["-".join(map(str, p)) for p in strict]},
         )
+    parts = region_map.partitions
     chosen: set[Counts] = set(strict)
     uncovered = []
-    for cell in region_map.cells:
-        if cell.strict or any(b in chosen for b in cell.best):
+    for g in np.nonzero(~region_map.strict)[0].tolist():
+        best = [parts[i] for i in np.nonzero(region_map.tie[:, g])[0]]
+        if any(b in chosen for b in best):
             continue
+        # chosen is a chain, so b extends it exactly when b is comparable
+        # with every member
         compatible = [
             b
-            for b in cell.best
-            if is_chain(list(chosen) + [b])[0]
+            for b in best
+            if all(compare(b, c) is not MajorizationVerdict.INCOMPARABLE for c in chosen)
         ]
         if compatible:
             chosen.add(compatible[0])
         else:
             uncovered.append(
                 {
-                    "p_f": cell.p_f,
-                    "p_d": cell.p_d,
-                    "tie_set": ["-".join(map(str, b)) for b in cell.best],
+                    "p_f": float(region_map.pf[g]),
+                    "p_d": float(region_map.pd[g]),
+                    "tie_set": ["-".join(map(str, b)) for b in best],
                 }
             )
     passed = not uncovered
@@ -667,14 +701,13 @@ def strict_onset(region_map: RegionMap, counts: Counts) -> tuple[float | None, f
     Scanning rows bottom-up; (None, None) when the placement never wins, and
     a None first element when it already wins on the lowest row.
     """
-    first = None
-    previous = None
-    for lane in region_map.rows():
-        p_d = lane[0].p_d
-        if any(cell.strict and cell.best[0] == counts for cell in lane):
-            first = p_d
-            break
-        previous = p_d
-    if first is None:
+    rm = region_map
+    if counts not in rm.partitions:
         return None, None
-    return previous, first
+    wins = rm.strict & (rm.winner == rm.partitions.index(counts))
+    if not wins.any():
+        return None, None
+    rows, first_node = np.unique(rm.i_d, return_index=True)
+    k = int(np.searchsorted(rows, rm.i_d[wins].min()))
+    row_pd = rm.pd[first_node]
+    return (float(row_pd[k - 1]) if k > 0 else None), float(row_pd[k])

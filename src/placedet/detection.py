@@ -31,6 +31,7 @@ from .model import (
     block_exponents,
     canonicalize_placement,
     likelihoods,
+    power_table,
 )
 from .partitions import enumerate_partitions
 
@@ -44,6 +45,16 @@ instead of being broken by noise.
 """
 
 MAX_SEARCH_M = 20  # each partition costs one term per count class; refuse beyond desk scale
+
+GRID_CHUNK_ENTRIES = 1 << 16
+"""Rows x classes x nodes per slice in :func:`error_probability_grid`.
+
+Each (rows, classes, nodes) temporary holds at most this many floats
+(512 KiB), whatever the grid size; e.g. 227 nodes at a time for the 288
+row-class pairs of (3,2,1,1,1) on 9 points, and 8192 for (3,) on 4 points.
+Temporaries of this size stay in cache, which made M = 8 and small-M
+sweeps faster than one whole-grid slice.
+"""
 
 MAP_TIE_RTOL = 1e-12
 """Relative slack when collecting MAP argmax ties.
@@ -109,6 +120,18 @@ def count_classes(counts: tuple[int, ...], n: int):
     return exponents, mult, weight
 
 
+def class_count(counts: tuple[int, ...]) -> int:
+    """Number of count classes of ``counts``, without listing them.
+
+    A run of g equal blocks of size v contributes the multisets of g
+    own-block alarm counts from 0..v, C(v + g, g) of them.
+    """
+    return math.prod(
+        math.comb(v + g, g)
+        for v, g in ((v, len(list(blocks))) for v, blocks in itertools.groupby(counts))
+    )
+
+
 def error_probability(
     placement: Placement, model: SensorModel, n: int | None = None
 ) -> ErrorProbability:
@@ -126,16 +149,30 @@ def error_probability_grid(
     ``pf`` and ``pd`` are equal-length 1-D arrays; returns the matching P_e
     array. :func:`error_probability` is this kernel at a single point. The
     class table is placement-only, so a sweep touches each grid node with
-    pure array arithmetic on (rows, classes, nodes) arrays.
+    pure array arithmetic on (rows, classes, nodes) arrays. Nodes go through
+    in slices of at most ``GRID_CHUNK_ENTRIES`` entries, so memory stays
+    bounded, and the result is bit-identical to one whole-grid slice.
     """
     m = sum(counts)
     if m > n:
         raise ValueError(f"m={m} sensors exceed n={n} points")
     exponents, mult, weight = count_classes(tuple(counts), n)
-    pmf = likelihoods(exponents, pf, pd)  # (rows, classes, G)
-    s = (mult[:, None, None] * pmf).sum(axis=0)
-    mx = pmf.max(axis=0)
-    return (weight[:, None] * (s - mx)).sum(axis=0) / n
+    powers = power_table(pf, pd, exponents.max())  # whole grid at once, then sliced
+    size = powers[0].shape[1]
+    out = np.empty(size)
+    # numpy sums a one-node slice pairwise along the class axis, not in
+    # order, which can change its last bits: slices hold at least two nodes
+    # and a lone last node joins the slice before it
+    width = max(2, GRID_CHUNK_ENTRIES // (exponents.shape[1] * exponents.shape[2]))
+    starts = list(range(0, size, width))
+    if len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [size]):
+        pmf = likelihoods(exponents, [p[:, lo:hi] for p in powers])  # (rows, classes, nodes)
+        s = (mult[:, None, None] * pmf).sum(axis=0)
+        mx = pmf.max(axis=0)
+        out[lo:hi] = (weight[:, None] * (s - mx)).sum(axis=0) / n
+    return out
 
 
 def map_decide(

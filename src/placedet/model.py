@@ -18,9 +18,10 @@ alarms in total, the alarm vector has likelihood
     p_j(y) = p_d^a (1-p_d)^(v-a) p_f^(s-a) (1-p_f)^(M-s-(v-a))
 
 (an empty point has v = a = 0). :func:`likelihoods` is the one place this
-product is formed; :class:`PmfTable` (one column per alarm vector) and the
-count-class P_e kernel in :mod:`placedet.detection` both hand it exponent
-tables built by :func:`block_exponents`.
+product is formed, from the powers in a :func:`power_table`;
+:class:`PmfTable` (one column per alarm vector) and the count-class P_e
+kernel in :mod:`placedet.detection` both hand it exponent tables built by
+:func:`block_exponents`.
 """
 
 from __future__ import annotations
@@ -143,17 +144,28 @@ def block_exponents(alarms: np.ndarray, counts: Sequence[int], n: int) -> np.nda
     return np.stack([alarms, v - alarms, s - alarms, sum(counts) - s - (v - alarms)])
 
 
-def likelihoods(exponents: np.ndarray, pf, pd) -> np.ndarray:
-    """p_d^a (1-p_d)^b p_f^c (1-p_f)^d for each (a, b, c, d) column of ``exponents``.
+def power_table(pf, pd, top) -> tuple[np.ndarray, ...]:
+    """Powers 0..top of p_d, 1-p_d, p_f and 1-p_f: four (top + 1, nodes) arrays.
 
-    ``exponents`` is a (4, rows, cols) integer table; ``pf`` and ``pd`` are
-    equal-length 1-D arrays of (p_f, p_d) nodes. Returns (rows, cols, nodes).
+    ``pf`` and ``pd`` are equal-length 1-D arrays of (p_f, p_d) nodes.
     0^0 = 1, so deterministic sensors (p_d, p_f in {0, 1}) give exact 0/1
-    entries instead of NaN.
+    entries instead of NaN. numpy's ``power`` may round an element
+    differently depending on the length of the array it sits in, so a
+    caller that slices its nodes slices this table, not ``pf`` and ``pd``.
     """
     pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
-    ks = np.arange(exponents.max() + 1)[:, None]
-    a, b, c, d = (p[None, :] ** ks for p in (pd, 1.0 - pd, pf, 1.0 - pf))
+    ks = np.arange(top + 1)[:, None]
+    return tuple(p[None, :] ** ks for p in (pd, 1.0 - pd, pf, 1.0 - pf))
+
+
+def likelihoods(exponents: np.ndarray, powers: Sequence[np.ndarray]) -> np.ndarray:
+    """p_d^a (1-p_d)^b p_f^c (1-p_f)^d for each (a, b, c, d) column of ``exponents``.
+
+    ``exponents`` is a (4, rows, cols) integer table and ``powers`` a
+    :func:`power_table` that reaches its largest entry. Returns
+    (rows, cols, nodes).
+    """
+    a, b, c, d = powers
     return a[exponents[0]] * b[exponents[1]] * c[exponents[2]] * d[exponents[3]]
 
 
@@ -186,9 +198,10 @@ class PmfTable:
         starts = np.cumsum((0,) + placement.counts[:-1])
         alarms = np.add.reduceat(bits, starts, axis=0, dtype=np.int8)  # (k, 2^M) block sums
         exponents = block_exponents(alarms, placement.counts, n)
+        powers = power_table([model.p_f], [model.p_d], exponents.max())
         rows = np.empty(exponents.shape[1:])
         for r in range(len(rows)):  # row by row: the kernel's temporaries hold 2^M entries
-            rows[r] = likelihoods(exponents[:, r : r + 1], [model.p_f], [model.p_d])[0, :, 0]
+            rows[r] = likelihoods(exponents[:, r : r + 1], powers)[0, :, 0]
         rows.flags.writeable = False
         return cls(model=model, placement=placement, n=n, rows=rows, collapsed=n > placement.k)
 

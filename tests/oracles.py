@@ -3,10 +3,14 @@
 Everything here is deliberately naive: per-sensor position vectors instead of
 count blocks, leave-one-out sums instead of the S - max shortcut, and the
 classical pentagonal-number recurrence for partition counts. None of it
-shares code with the package paths it validates.
+shares code with the package paths it validates. The region-map oracles walk
+``RegionMap.cells`` one ``RegionCell`` at a time instead of reading the
+map's per-node arrays.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 def pentagonal_partition_counts(limit: int) -> list[int]:
@@ -58,3 +62,70 @@ def pe_from_positions(positions, n: int, pd: float, pf: float) -> float:
         rows = [pmf_from_positions(bits, j, positions, pd, pf) for j in range(1, n + 1)]
         total += min(sum(rows) - rows[i] for i in range(n))
     return total / n
+
+
+def _label(counts) -> str:
+    return "-".join(map(str, counts))
+
+
+def monotone_on_scale_by_cells(region_map, scale, axis: str) -> dict:
+    """``check_monotone_on_scale(...).to_json_dict()`` from a per-cell walk.
+
+    Lanes are grid rows (``increasing_pf``) or columns (``increasing_pd``),
+    each walked in ascending order of the other index.
+    """
+    key = attrgetter("i_d", "i_f") if axis == "increasing_pf" else attrgetter("i_f", "i_d")
+    lanes: dict = {}
+    for cell in sorted(region_map.cells, key=key):
+        lanes.setdefault(key(cell)[0], []).append(cell)
+    skipped_ties = skipped_off_scale = checked = worst_drop = 0
+    off_scale = set()
+    violations = []
+    for lane in lanes.values():
+        previous_level = previous_cell = None
+        for cell in lane:
+            if not cell.strict:
+                skipped_ties += 1
+                continue
+            winner = cell.best[0]
+            if winner not in scale:
+                off_scale.add(winner)
+                skipped_off_scale += 1
+                continue
+            level = scale.level(winner)
+            checked += 1
+            if previous_level is not None and level < previous_level:
+                drop = previous_level - level
+                worst_drop = max(worst_drop, drop)
+                violations.append({
+                    "axis": axis,
+                    "p_f": cell.p_f,
+                    "p_d": cell.p_d,
+                    "from": _label(previous_cell.best[0]),
+                    "to": _label(winner),
+                    "level_drop": drop,
+                })
+            previous_level, previous_cell = level, cell
+    return {
+        "claim": f"optimum-monotone-on-scale/{axis}",
+        "checked": checked,
+        "max_violation": float(worst_drop),
+        "counterexamples": violations,
+        "pass": not violations,
+        "notes": {
+            "skipped_ties": skipped_ties,
+            "skipped_off_scale": skipped_off_scale,
+            "off_scale_placements": sorted(_label(p) for p in off_scale),
+        },
+    }
+
+
+def region_csv_by_cells(region_map) -> str:
+    """Sweep CSV rendered one cell at a time."""
+    lines = ["p_f,p_d,best,tie_count,pe_min,margin"]
+    for cell in region_map.cells:
+        lines.append(
+            f"{cell.p_f:.6g},{cell.p_d:.6g},{_label(cell.best[0])},{cell.tie_count},"
+            f"{cell.pe_min!r},{cell.margin!r}"
+        )
+    return "\n".join(lines) + "\n"

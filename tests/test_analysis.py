@@ -1,10 +1,15 @@
 """Plane sweeps, closed-form regions, and structural verifiers."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
+from oracles import monotone_on_scale_by_cells, region_csv_by_cells
 from placedet import (
     BudgetError,
+    RegionMap,
     SensorModel,
     chain_sort,
     check_conjecture_chain,
@@ -26,6 +31,8 @@ from placedet.analysis import (
     region_csv_text,
     strict_onset,
 )
+from placedet.detection import count_classes
+from placedet.partitions import enumerate_partitions
 
 
 def test_grid_values_cover_open_interval():
@@ -40,7 +47,13 @@ def test_grid_values_cover_open_interval():
 
 
 def test_sweep_budget_refusal_names_cost():
-    with pytest.raises(BudgetError, match="pmf evaluations"):
+    # rows x count classes per partition, at each of the 99 * 100 / 2 half-plane nodes
+    terms = 0
+    for p in enumerate_partitions(9):
+        exponents, _, weight = count_classes(p, 9)
+        terms += exponents.shape[1] * weight.size
+    cost = f"~{99 * 100 // 2 * terms:.2e} pmf evaluations"
+    with pytest.raises(BudgetError, match=re.escape(cost)):
         sweep_plane(9, 9, 0.01)
 
 
@@ -280,3 +293,96 @@ def test_strict_onset_rows():
     assert below is not None and first is not None
     assert below < first <= below + 0.02 + 1e-12
     assert strict_onset(region_map, (1, 1, 1, 1)) == (None, None)
+    # a window has every row, so the row below is i_d - 1; a placement that
+    # already wins on the lowest row has none
+    window = sweep_window(4, 4, tuple(0.02 * k for k in range(1, 40)), (0.6, 0.7, 0.8, 0.9))
+    onsets = set()
+    for counts in window.partitions:
+        rows = [c.i_d for c in window.cells if c.strict and c.best[0] == counts]
+        if rows:
+            first = min(rows)
+            onsets.add(first)
+            below = window.pd_values[first - 1] if first > 0 else None
+            assert strict_onset(window, counts) == (below, window.pd_values[first])
+        else:
+            assert strict_onset(window, counts) == (None, None)
+    assert {0, 1} <= onsets
+
+
+def _window_7_8():
+    pf_axis = tuple(0.46 + 0.01 * i for i in range(3))
+    pd_axis = tuple(0.50 + 0.01 * i for i in range(11))
+    return sweep_window(7, 8, pf_axis, pd_axis)
+
+
+# (map, scale) pairs for the array paths against the per-cell oracles
+DIFFERENTIAL_CASES = {
+    "m3n3": lambda: (sweep_plane(3, 3, 0.01), full_partition_scale(3)),
+    "m4n5": lambda: (sweep_plane(4, 5, 0.01), full_partition_scale(4)),
+    "m5n6": lambda: (sweep_plane(5, 6, 0.01), full_partition_scale(5)),
+    "window_m7n8": lambda: (_window_7_8(), chain_sort([(3, 2, 1, 1), (2, 2, 2, 1)])),
+    "m5n6_two_member_scale": lambda: (sweep_plane(5, 6, 0.01), chain_sort([(3, 2), (2, 2, 1)])),
+    "m4n4_full": lambda: (sweep_plane(4, 4, 0.02, region="full"), full_partition_scale(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_array_paths_match_per_cell_oracles(case):
+    region_map, scale = DIFFERENTIAL_CASES[case]()
+    reports = {}
+    for axis in ("increasing_pf", "increasing_pd"):
+        report = check_monotone_on_scale(region_map, scale, axis).to_json_dict()
+        # JSON text also compares the Python types (int vs float, no numpy scalars)
+        assert json.dumps(report) == json.dumps(monotone_on_scale_by_cells(region_map, scale, axis))
+        reports[axis] = report
+    assert region_csv_text(region_map) == region_csv_by_cells(region_map)
+    if case == "window_m7n8":
+        assert all(r["counterexamples"] for r in reports.values())
+    if case == "m5n6_two_member_scale":
+        assert all(r["notes"]["skipped_off_scale"] > 0 for r in reports.values())
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_cells_are_built_from_the_arrays(case):
+    region_map, _ = DIFFERENTIAL_CASES[case]()
+    parts = region_map.partitions
+    cells = region_map.cells
+    assert len(cells) == region_map.pe_min.size == region_map.tie.shape[1]
+    assert cells[-1] == cells[len(cells) - 1]
+    assert cells[1:3] == (cells[1], cells[2])
+    with pytest.raises(IndexError):
+        cells[len(cells)]
+    diagonal = 0
+    for g, cell in enumerate(cells):
+        assert (cell.i_f, cell.i_d) == (region_map.i_f[g], region_map.i_d[g])
+        assert cell.p_f == region_map.pf_values[cell.i_f]
+        assert cell.p_d == region_map.pd_values[cell.i_d]
+        assert cell.best[0] == parts[region_map.winner[g]]
+        assert cell.tie_count == region_map.tie[:, g].sum()
+        assert cell.pe_min == region_map.pe_min[g] and cell.margin == region_map.margin[g]
+        assert cell.strict == region_map.strict[g] == (cell.tie_count == 1)
+        assert type(cell.i_f) is int and type(cell.p_f) is float and type(cell.strict) is bool
+        if cell.p_f == cell.p_d:  # the sensors are blind: every placement ties
+            diagonal += 1
+            assert cell.best == parts
+    assert diagonal > 0 or case == "window_m7n8"
+
+
+def test_conjecture_chain_reports_uncovered_ties():
+    # Hand-built values at three nodes, walked in node order: (2, 2, 2, 1)
+    # wins strictly; a tie of (4, 1, 1, 1) and (3, 3, 1) extends the chain by
+    # the first; then a tie of (3, 3, 1) and (3, 2, 2), both incomparable with
+    # (4, 1, 1, 1), is left uncovered.
+    parts = tuple(enumerate_partitions(7))
+    at = {p: i for i, p in enumerate(parts)}
+    pes = np.ones((len(parts), 3))
+    pes[at[(2, 2, 2, 1)], 0] = 0.5
+    pes[[at[(4, 1, 1, 1)], at[(3, 3, 1)]], 1] = 0.5
+    pes[[at[(3, 3, 1)], at[(3, 2, 2)]], 2] = 0.5
+    region_map = RegionMap.from_pes(7, 7, None, "window", (0.1, 0.2, 0.3), (0.9,), parts, pes)
+    report = check_conjecture_chain(region_map)
+    assert not report.passed and report.checked == 3
+    assert report.counterexamples == (
+        {"p_f": 0.3, "p_d": 0.9, "tie_set": ["3-3-1", "3-2-2"]},
+    )
+    assert report.notes["chain"] == ["4-1-1-1", "2-2-2-1"]

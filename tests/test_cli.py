@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from placedet.cli import main
@@ -236,7 +237,7 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch, cpus, threads, expecte
 
     def fake_sweep(m, n, step, region, threads):
         seen.append(threads)
-        return analysis.RegionMap(m, n, step, region, (), (), (), ())
+        return analysis.RegionMap.from_pes(m, n, step, region, (), (), ((m,),), np.empty((1, 0)))
 
     def fake_simulate(placement, model, n, trials, seed, tie_rule, threads):
         seen.append(threads)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from placedet import (
     observation_index,
     optimal_placements,
 )
-from placedet.detection import count_classes
+from placedet import detection
+from placedet.detection import class_count, count_classes
 
 from oracles import pe_from_positions, positions_from_counts
 
@@ -201,10 +203,40 @@ def test_count_class_table_shape():
         for counts in enumerate_partitions(m):
             for n in (m, m + 2):
                 exponents, mult, weight = count_classes(counts, n)
+                assert class_count(counts) == weight.size
                 assert weight.sum() == 2**m
                 assert mult.sum() == n
                 assert (exponents.sum(axis=0) == m).all()
     assert sum(count_classes(c, 8)[2].size for c in enumerate_partitions(8)) == 591
+
+
+def test_grid_slices_match_one_slice(monkeypatch):
+    rng = np.random.default_rng(11)
+    pf, pd = rng.uniform(size=(2, 1001))
+    pf[:4], pd[:4] = [0.0, 1.0, 0.3, 0.5], [1.0, 0.0, 0.3, 0.5]
+    for counts, n in (((3, 2, 1, 1, 1), 9), ((1, 1, 1), 4), ((2,), 2)):
+        exponents = count_classes(counts, n)[0]
+        per_node = exponents.shape[1] * exponents.shape[2]
+        monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", 1 << 62)
+        whole = error_probability_grid(counts, n, pf, pd)
+        # width 1 is raised to 2 nodes; 4 and 250 leave one node over (1001 = 4 * 250 + 1)
+        for width in (1, 3, 4, 250):
+            monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", width * per_node)
+            assert np.array_equal(error_probability_grid(counts, n, pf, pd), whole)
+
+
+def test_grid_memory_bounded_by_slice():
+    counts, n, nodes = (3, 2, 1, 1, 1), 9, 20_000
+    exponents = count_classes(counts, n)[0]
+    one_temporary = exponents.shape[1] * exponents.shape[2] * nodes * 8
+    pf = np.linspace(0.01, 0.5, nodes)
+    tracemalloc.start()
+    try:
+        error_probability_grid(counts, n, pf, pf + 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_temporary / 4
 
 
 def test_rejects_more_sensors_than_points():
