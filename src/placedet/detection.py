@@ -10,7 +10,10 @@ since dropping the largest term minimizes the leave-one-out sum. p_j(y)
 depends on y only through the per-block alarm counts, and equal blocks are
 interchangeable, so the sum runs over count classes (multisets of per-block
 alarm counts) weighted by their number of alarm vectors: M + 1 classes for
-the placement 1^M, at most 2^M. S adds the occupied rows once each and the
+the placement 1^M, at most 2^M. Many (row, class) pairs share one likelihood
+(the same own-block count a, false alarms c and block size v), so the grid
+kernel forms each distinct one once per node slice, from a power table that
+the placements of one map share. S adds the occupied rows once each and the
 shared empty-point row n - k times, in a fixed order, so results are
 reproducible bit-for-bit.
 """
@@ -49,11 +52,12 @@ MAX_SEARCH_M = 20  # each partition costs one term per count class; refuse beyon
 GRID_CHUNK_ENTRIES = 1 << 16
 """Rows x classes x nodes per slice in :func:`error_probability_grid`.
 
-Each (rows, classes, nodes) temporary holds at most this many floats
-(512 KiB), whatever the grid size; e.g. 227 nodes at a time for the 288
-row-class pairs of (3,2,1,1,1) on 9 points, and 8192 for (3,) on 4 points.
-Temporaries of this size stay in cache, which made M = 8 and small-M
-sweeps faster than one whole-grid slice.
+A slice holds this many entries divided by rows x classes nodes; e.g. 227
+nodes at a time for the 288 row-class pairs of (3,2,1,1,1) on 9 points, and
+8192 for (3,) on 4 points. Its distinct-column likelihood table and its
+per-row (classes, nodes) blocks each hold at most this many floats
+(512 KiB), whatever the grid size. Temporaries of this size stay in cache,
+which made M = 8 and small-M sweeps faster than one whole-grid slice.
 """
 
 MAP_TIE_RTOL = 1e-12
@@ -142,37 +146,91 @@ def error_probability(
 
 
 def error_probability_grid(
-    counts: tuple[int, ...], n: int, pf: np.ndarray, pd: np.ndarray
+    counts: tuple[int, ...],
+    n: int,
+    pf: np.ndarray,
+    pd: np.ndarray,
+    *,
+    powers: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Vectorized P_e for one canonical placement at many (p_f, p_d) points.
 
-    ``pf`` and ``pd`` are equal-length 1-D arrays; returns the matching P_e
-    array. :func:`error_probability` is this kernel at a single point. The
-    class table is placement-only, so a sweep touches each grid node with
-    pure array arithmetic on (rows, classes, nodes) arrays. Nodes go through
-    in slices of at most ``GRID_CHUNK_ENTRIES`` entries, so memory stays
-    bounded, and the result is bit-identical to one whole-grid slice.
+    ``pf`` and ``pd`` are equal-length 1-D arrays of values in [0, 1];
+    returns the matching P_e array. :func:`error_probability` is this kernel
+    at a single point. ``powers`` is a :func:`~placedet.model.power_table`
+    of the same nodes that reaches the largest exponent (``sum(counts)``
+    always does), so that the placements of one map share one table; it is
+    built here when omitted. Many (row, class) pairs share one (a, b, c, d)
+    column, so each node slice forms the likelihoods of the distinct columns
+    only, then gathers them row by row into S and the running max. Nodes go
+    through in slices of ``GRID_CHUNK_ENTRIES // (rows x classes)`` nodes,
+    so memory stays bounded, and the result is bit-identical to one
+    whole-grid slice.
     """
     m = sum(counts)
     if m > n:
         raise ValueError(f"m={m} sensors exceed n={n} points")
+    pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
+    if pf.ndim != 1 or pf.shape != pd.shape:
+        raise ValueError(f"pf and pd must be 1-D of equal length, got {pf.shape} and {pd.shape}")
+    if not (((0.0 <= pf) & (pf <= 1.0)).all() and ((0.0 <= pd) & (pd <= 1.0)).all()):
+        raise ValueError("pf and pd must be finite and in [0, 1]")  # NaN fails both bounds
     exponents, mult, weight = count_classes(tuple(counts), n)
-    powers = power_table(pf, pd, exponents.max())  # whole grid at once, then sliced
-    size = powers[0].shape[1]
+    top = int(exponents.max())
+    if powers is None:
+        powers = power_table(pf, pd, top)  # whole grid at once, then sliced
+    elif len(powers) != 4 or any(
+        np.ndim(p) != 2 or p.shape[1] != pf.size or p.shape[0] <= top for p in powers
+    ):
+        raise ValueError(f"powers must be a power_table of these {pf.size} nodes up to {top}")
+    if pf.size == 1:
+        # numpy sums a one-node (rows, classes) table pairwise along its
+        # contiguous axes, where the slices below sum in order; the scalar
+        # evaluator keeps those bits
+        pmf = likelihoods(np.ascontiguousarray(exponents.transpose(0, 2, 1)), powers)[:, :, 0]
+        return np.array([(weight * ((pmf * mult).sum(axis=1) - pmf.max(axis=1))).sum() / n])
+    rows, classes = exponents.shape[1:]
+    # b = v - a and d = m - c - v, so (a, c, v) identifies a column
+    a, b, c = exponents[:3].reshape(3, -1)
+    _, first, inverse = np.unique(
+        (a * (m + 1) + c) * (m + 1) + a + b, return_index=True, return_inverse=True
+    )
+    columns = exponents.reshape(4, -1)[:, first]
+    inverse = inverse.reshape(rows, classes)
+    size = pf.size
     out = np.empty(size)
-    # numpy sums a one-node slice pairwise along the class axis, not in
-    # order, which can change its last bits: slices hold at least two nodes
-    # and a lone last node joins the slice before it
-    width = max(2, GRID_CHUNK_ENTRIES // (exponents.shape[1] * exponents.shape[2]))
+    # slices hold at least two nodes, so that they sum in order: a lone last
+    # node joins the slice before it
+    width = max(2, GRID_CHUNK_ENTRIES // (rows * classes))
     starts = list(range(0, size, width))
     if len(starts) > 1 and size - starts[-1] == 1:
         starts.pop()
     for lo, hi in zip(starts, starts[1:] + [size]):
-        pmf = likelihoods(exponents, [p[:, lo:hi] for p in powers])  # (rows, classes, nodes)
-        s = (mult[:, None, None] * pmf).sum(axis=0)
-        mx = pmf.max(axis=0)
-        out[lo:hi] = (weight[:, None] * (s - mx)).sum(axis=0) / n
+        table = likelihoods(columns, [p[:, lo:hi] for p in powers])  # (distinct, nodes)
+        out[lo:hi] = _weighted_gaps(table, inverse, mult, weight) / n
+        del table  # before the next slice's table is built
     return out
+
+
+def _weighted_gaps(table, inverse, mult, weight) -> np.ndarray:
+    """Sum over classes of weight x (S - max) for one node slice.
+
+    ``table`` holds the distinct likelihoods (columns x nodes) and
+    ``inverse`` (rows, classes) the column of each row and class. S adds the
+    rows in order, each times its ``mult`` (1, or n - k for the empty row);
+    the (classes, nodes) arrays die on return.
+    """
+    s = table[inverse[0]]
+    mx = s.copy()
+    for r in range(1, len(inverse)):
+        pmf = table[inverse[r]]
+        np.maximum(mx, pmf, out=mx)
+        if mult[r] != 1.0:
+            pmf *= mult[r]
+        s += pmf
+    s -= mx
+    s *= weight[:, None]
+    return s.sum(axis=0)
 
 
 def map_decide(

@@ -21,7 +21,9 @@ alarms in total, the alarm vector has likelihood
 product is formed, from the powers in a :func:`power_table`;
 :class:`PmfTable` (one column per alarm vector) and the count-class P_e
 kernel in :mod:`placedet.detection` both hand it exponent tables built by
-:func:`block_exponents`.
+:func:`block_exponents`. The kernel passes only the distinct (a, b, c, d)
+columns of its table, and the placements of one region map share one
+:func:`power_table` of its nodes, built once up to exponent M.
 """
 
 from __future__ import annotations
@@ -161,9 +163,9 @@ def power_table(pf, pd, top) -> tuple[np.ndarray, ...]:
 def likelihoods(exponents: np.ndarray, powers: Sequence[np.ndarray]) -> np.ndarray:
     """p_d^a (1-p_d)^b p_f^c (1-p_f)^d for each (a, b, c, d) column of ``exponents``.
 
-    ``exponents`` is a (4, rows, cols) integer table and ``powers`` a
-    :func:`power_table` that reaches its largest entry. Returns
-    (rows, cols, nodes).
+    ``exponents`` is a (4, rows, cols) or (4, cols) integer table and
+    ``powers`` a :func:`power_table` that reaches its largest entry. Returns
+    (rows, cols, nodes) or (cols, nodes).
     """
     a, b, c, d = powers
     return a[exponents[0]] * b[exponents[1]] * c[exponents[2]] * d[exponents[3]]

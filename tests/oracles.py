@@ -5,12 +5,16 @@ count blocks, leave-one-out sums instead of the S - max shortcut, and the
 classical pentagonal-number recurrence for partition counts. None of it
 shares code with the package paths it validates. The region-map oracles walk
 ``RegionMap.cells`` one ``RegionCell`` at a time instead of reading the
-map's per-node arrays.
+map's per-node arrays. ``pe_grid_full_table`` is the exception that proves a
+rewrite changed no bits: it repeats the grid kernel's arithmetic in its
+plainest array form.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+import numpy as np
 
 
 def pentagonal_partition_counts(limit: int) -> list[int]:
@@ -62,6 +66,24 @@ def pe_from_positions(positions, n: int, pd: float, pf: float) -> float:
         rows = [pmf_from_positions(bits, j, positions, pd, pf) for j in range(1, n + 1)]
         total += min(sum(rows) - rows[i] for i in range(n))
     return total / n
+
+
+def pe_grid_full_table(exponents, mult, weight, n: int, pf, pd) -> np.ndarray:
+    """Grid P_e from the full (rows, classes, nodes) likelihood table.
+
+    Takes a ``count_classes`` table and equal-length node arrays. Builds the
+    powers over the whole grid, forms every row x class likelihood with four
+    gathers and three multiplies, and sums in the grid kernel's order
+    (rows first, the empty row weighted by its multiplicity, then classes
+    in the S - max form), so the kernel must match it bit for bit.
+    """
+    pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
+    ks = np.arange(exponents.max() + 1)[:, None]
+    a, b, c, d = (p[None, :] ** ks for p in (pd, 1.0 - pd, pf, 1.0 - pf))
+    pmf = a[exponents[0]] * b[exponents[1]] * c[exponents[2]] * d[exponents[3]]
+    s = (mult[:, None, None] * pmf).sum(axis=0)
+    mx = pmf.max(axis=0)
+    return (weight[:, None] * (s - mx)).sum(axis=0) / n
 
 
 def _label(counts) -> str:

@@ -1,10 +1,15 @@
 """Command-line interface: dispatch, validation, exit codes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import placedet
 from placedet.cli import main
 
 
@@ -61,6 +66,18 @@ def test_partitions_listing(capsys):
     code, out, _ = run(capsys, "partitions", "--m", "4")
     assert code == 0
     assert out.splitlines() == ["4", "3-1", "2-2", "2-1-1", "1-1-1-1"]
+
+
+def test_package_runs_as_module():
+    src = str(Path(placedet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "placedet", "partitions", "--m", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["3", "2-1", "1-1-1"]
 
 
 def test_majorize_matrix(capsys):

@@ -24,8 +24,9 @@ from placedet import (
 )
 from placedet import detection
 from placedet.detection import class_count, count_classes
+from placedet.model import power_table
 
-from oracles import pe_from_positions, positions_from_counts
+from oracles import pe_from_positions, pe_grid_full_table, positions_from_counts
 
 P11 = canonicalize_placement([1, 1], n=2)
 P20 = canonicalize_placement([2], n=2)
@@ -237,6 +238,83 @@ def test_grid_memory_bounded_by_slice():
     finally:
         tracemalloc.stop()
     assert peak < one_temporary / 4
+
+
+def _oracle_nodes(rng, size):
+    """``size`` random nodes, led by every pair from {0, 0.5, 1} and a diagonal run."""
+    pf, pd = rng.uniform(size=(2, size))
+    corners = np.array([0.0, 0.5, 1.0])
+    head = min(size, 9)
+    pf[:head], pd[:head] = np.repeat(corners, 3)[:head], np.tile(corners, 3)[:head]
+    pd[9:20] = pf[9:20]
+    return pf, pd
+
+
+def test_grid_kernel_bit_identical_to_full_table_oracle():
+    # The distinct-column kernel must reproduce the full (rows, classes,
+    # nodes) formulation exactly: one node (summed pairwise by numpy), a
+    # small grid, and a default-width grid whose lone last node joins the
+    # slice before it; each with its own and with a shared power table.
+    rng = np.random.default_rng(23)
+    for m in range(1, 9):
+        for counts in enumerate_partitions(m):
+            for n in (m, m + 2):
+                exponents, mult, weight = count_classes(counts, n)
+                per_node = exponents.shape[1] * exponents.shape[2]
+                width = max(2, detection.GRID_CHUNK_ENTRIES // per_node)
+                for size in (1, 40, 2 * width + 1):
+                    pf, pd = _oracle_nodes(rng, size)
+                    expected = pe_grid_full_table(exponents, mult, weight, n, pf, pd)
+                    assert np.array_equal(error_probability_grid(counts, n, pf, pd), expected)
+                    shared = power_table(pf, pd, m)
+                    got = error_probability_grid(counts, n, pf, pd, powers=shared)
+                    assert np.array_equal(got, expected), (counts, n, size)
+    # numpy's pairwise row sum differs from the in-order one from 8 rows on,
+    # so one-node grids also run at m = 9..12
+    for m in range(9, 13):
+        for counts in enumerate_partitions(m):
+            n = m + 1
+            exponents, mult, weight = count_classes(counts, n)
+            for _ in range(3):
+                pf, pd = rng.uniform(size=(2, 1))
+                expected = pe_grid_full_table(exponents, mult, weight, n, pf, pd)
+                got = error_probability_grid(counts, n, pf, pd, powers=power_table(pf, pd, m))
+                assert np.array_equal(got, expected), (counts, n, pf, pd)
+
+
+def test_grid_rejects_malformed_nodes():
+    counts, n = (2, 1), 3
+    cases = [
+        (np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6])),  # unequal lengths
+        (np.full((2, 2), 0.1), np.full((2, 2), 0.6)),  # 2-D
+        (np.array(0.1), np.array(0.6)),  # 0-D
+        (np.array([1.5]), np.array([0.6])),  # above 1
+        (np.array([0.1]), np.array([-0.2])),  # below 0
+        (np.array([np.nan]), np.array([0.6])),
+        (np.array([0.1]), np.array([np.inf])),
+    ]
+    for pf, pd in cases:
+        with pytest.raises(ValueError):
+            error_probability_grid(counts, n, pf, pd)
+
+
+def test_grid_rejects_mismatched_power_table():
+    counts, n = (2, 1), 3
+    pf, pd = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7])
+    good = power_table(pf, pd, 3)
+    assert np.array_equal(
+        error_probability_grid(counts, n, pf, pd, powers=good),
+        error_probability_grid(counts, n, pf, pd),
+    )
+    bad = [
+        good[:3],  # three tables
+        power_table(pf[:2], pd[:2], 3),  # too few columns
+        power_table(pf, pd, 2),  # stops below the largest exponent, 3
+        tuple(p[:, 0] for p in good),  # 1-D
+    ]
+    for powers in bad:
+        with pytest.raises(ValueError):
+            error_probability_grid(counts, n, pf, pd, powers=powers)
 
 
 def test_rejects_more_sensors_than_points():
