@@ -147,6 +147,18 @@ def test_simulate_deterministic(capsys):
     assert first == second
 
 
+def test_simulate_refuses_too_many_sensors(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    code, stdout, err = run(
+        capsys, "simulate", "--n", "30", "--pd", "0.7", "--pf", "0.2",
+        "--placement", "30", "--trials", "10", "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() and not list(tmp_path.iterdir())
+
+
 def test_verify_thm41(capsys):
     code, payload, _ = run_json(
         capsys, "verify", "thm41", "--max-m", "3", "--step", "0.05"
