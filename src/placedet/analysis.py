@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import TIE_EPS, class_count, error_probability_grid, optimal_placements
+from .detection import argmin_with_ties, class_count, error_probability_grid, optimal_placements
 from .majorization import MajorizationVerdict, PlacementScale, chain_sort, compare, is_chain
 from .model import SensorModel, power_table
 from .partitions import enumerate_partitions
@@ -72,11 +72,10 @@ class RegionMap:
     Nodes are stored in row order: p_d ascending outer, p_f ascending inner.
     ``step`` is None for ad-hoc window maps built from explicit axis values.
     Node g sits at axis indices ``i_f[g]``, ``i_d[g]`` and values ``pf[g]``,
-    ``pd[g]``. ``tie[i, g]`` marks partition i within TIE_EPS of the minimum
-    ``pe_min[g]``; ``margin[g]`` is the gap to the best non-tied partition
-    (+inf when none); ``strict[g]`` marks a unique minimiser with positive
-    margin; ``winner[g]`` indexes the first tied partition, which is the
-    unique one at a strict node. ``cells`` shows the same nodes as
+    ``pd[g]``. ``tie``, ``pe_min``, ``margin`` and ``strict`` are the
+    :func:`~placedet.detection.argmin_with_ties` of the partitions' P_e;
+    ``winner[g]`` indexes the first tied partition, the unique one at a
+    strict node. ``cells`` shows the same nodes as
     :class:`RegionCell` objects. Maps compare by identity (array fields have
     no single truth value).
     """
@@ -108,10 +107,7 @@ class RegionMap:
         ``region`` is ``pd_ge_pf``.
         """
         i_f, i_d, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
-        pe_min = pes.min(axis=0)
-        tie = (pes - pe_min[None, :]) <= TIE_EPS
-        margin = np.where(tie, np.inf, pes).min(axis=0) - pe_min
-        strict = (tie.sum(axis=0) == 1) & (margin > TIE_EPS)
+        tie, pe_min, margin, strict = argmin_with_ties(pes)
         return cls(
             m, n, step, region, pf_values, pd_values, partitions,
             i_f, i_d, pf, pd, tie, pe_min, margin, strict, tie.argmax(axis=0),

@@ -14,8 +14,9 @@ the placement 1^M, at most 2^M. Many (row, class) pairs share one likelihood
 (the same own-block count a, false alarms c and block size v), so the grid
 kernel forms each distinct one once per node slice, from a power table that
 the placements of one map share. S adds the occupied rows once each and the
-shared empty-point row n - k times, in a fixed order, so results are
-reproducible bit-for-bit.
+shared empty-point row n - k times, then the classes, in a fixed order, so a
+node's P_e bits do not depend on the grid or window around it, the slice
+width or the thread count: ``pe``, ``optimal`` and sweeps agree bit for bit.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ def error_probability_grid(
     column, so each node slice forms the likelihoods of the distinct columns
     only, then gathers them row by row into S and the running max. Nodes go
     through in slices of ``GRID_CHUNK_ENTRIES // (rows x classes)`` nodes,
-    so memory stays bounded, and the result is bit-identical to one
-    whole-grid slice.
+    so memory stays bounded. A node's value does not depend on the other
+    nodes, the slice width or the thread count: alone it gets the same bits.
     """
     m = sum(counts)
     if m > n:
@@ -183,12 +184,6 @@ def error_probability_grid(
         np.ndim(p) != 2 or p.shape[1] != pf.size or p.shape[0] <= top for p in powers
     ):
         raise ValueError(f"powers must be a power_table of these {pf.size} nodes up to {top}")
-    if pf.size == 1:
-        # numpy sums a one-node (rows, classes) table pairwise along its
-        # contiguous axes, where the slices below sum in order; the scalar
-        # evaluator keeps those bits
-        pmf = likelihoods(np.ascontiguousarray(exponents.transpose(0, 2, 1)), powers)[:, :, 0]
-        return np.array([(weight * ((pmf * mult).sum(axis=1) - pmf.max(axis=1))).sum() / n])
     rows, classes = exponents.shape[1:]
     # b = v - a and d = m - c - v, so (a, c, v) identifies a column
     a, b, c = exponents[:3].reshape(3, -1)
@@ -199,15 +194,14 @@ def error_probability_grid(
     inverse = inverse.reshape(rows, classes)
     size = pf.size
     out = np.empty(size)
-    # slices hold at least two nodes, so that they sum in order: a lone last
-    # node joins the slice before it
     width = max(2, GRID_CHUNK_ENTRIES // (rows * classes))
-    starts = list(range(0, size, width))
-    if len(starts) > 1 and size - starts[-1] == 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [size]):
-        table = likelihoods(columns, [p[:, lo:hi] for p in powers])  # (distinct, nodes)
-        out[lo:hi] = _weighted_gaps(table, inverse, mult, weight) / n
+    for lo in range(0, size, width):
+        hi = min(lo + width, size)
+        # numpy sums a one-node block pairwise and wider ones in order, so a
+        # lone node goes through as two copies of itself
+        nodes = slice(lo, hi) if hi - lo > 1 else [lo, lo]
+        table = likelihoods(columns, [p[:, nodes] for p in powers])  # (distinct, nodes)
+        out[lo:hi] = _weighted_gaps(table, inverse, mult, weight)[: hi - lo] / n
         del table  # before the next slice's table is built
     return out
 
@@ -288,9 +282,7 @@ def closed_form_pe2(placement: Placement, model: SensorModel) -> float:
     raise ValueError(f"unexpected placement {placement.counts} for m=n=2")
 
 
-def optimal_placements(
-    m: int, n: int, model: SensorModel, tie_eps: float = TIE_EPS
-) -> Optimum:
+def optimal_placements(m: int, n: int, model: SensorModel) -> Optimum:
     """Exhaustive search over all partitions of m; tie-aware argmin.
 
     Candidates are scored in enumeration order so tie reporting and CSV
@@ -301,21 +293,22 @@ def optimal_placements(
         raise ValueError(f"require 1 <= m <= n, got m={m}, n={n}")
     if m > MAX_SEARCH_M:
         raise ValueError(f"m={m} exceeds the exact-search bound {MAX_SEARCH_M}")
-    candidates = [
-        canonicalize_placement(counts, n) for counts in enumerate_partitions(m)
-    ]
-    values = [error_probability(p, model, n).value for p in candidates]
-    return _argmin_with_ties(candidates, values, tie_eps)
+    candidates = [canonicalize_placement(counts, n) for counts in enumerate_partitions(m)]
+    pes = np.array([[error_probability(p, model, n).value] for p in candidates])
+    tie, pe_min, margin, strict = argmin_with_ties(pes)
+    best = tuple(p for p, t in zip(candidates, tie[:, 0]) if t)
+    return Optimum(best, float(pe_min[0]), float(margin[0]), bool(strict[0]))
 
 
-def _argmin_with_ties(
-    candidates: list[Placement], values: list[float], tie_eps: float
-) -> Optimum:
-    pe_min = min(values)
-    best = tuple(
-        p for p, v in zip(candidates, values) if v - pe_min <= tie_eps
-    )
-    rest = [v for v in values if v - pe_min > tie_eps]
-    margin = (min(rest) - pe_min) if rest else math.inf
-    strict = len(best) == 1 and margin > tie_eps
-    return Optimum(best=best, pe_min=pe_min, margin=margin, strict=strict)
+def argmin_with_ties(pes: np.ndarray):
+    """The tie rule: ``(tie, pe_min, margin, strict)`` of a (partitions, nodes) P_e array.
+
+    ``tie[i, g]`` marks partition i within TIE_EPS of the node's minimum
+    ``pe_min[g]``; ``margin[g]`` is the gap to the best non-tied partition
+    (+inf when none); ``strict[g]`` marks a unique minimiser with positive margin.
+    """
+    pe_min = pes.min(axis=0)
+    tie = (pes - pe_min[None, :]) <= TIE_EPS
+    margin = np.where(tie, np.inf, pes).min(axis=0) - pe_min
+    strict = tie.sum(axis=0) == 1  # every non-tied gap, so the margin, exceeds TIE_EPS
+    return tie, pe_min, margin, strict

@@ -23,7 +23,8 @@ product is formed, from the powers in a :func:`power_table`;
 kernel in :mod:`placedet.detection` both hand it exponent tables built by
 :func:`block_exponents`. The kernel passes only the distinct (a, b, c, d)
 columns of its table, and the placements of one region map share one
-:func:`power_table` of its nodes, built once up to exponent M.
+:func:`power_table` of its nodes, built once up to exponent M. A node's
+powers do not depend on the other nodes of the table.
 """
 
 from __future__ import annotations
@@ -151,13 +152,16 @@ def power_table(pf, pd, top) -> tuple[np.ndarray, ...]:
 
     ``pf`` and ``pd`` are equal-length 1-D arrays of (p_f, p_d) nodes.
     0^0 = 1, so deterministic sensors (p_d, p_f in {0, 1}) give exact 0/1
-    entries instead of NaN. numpy's ``power`` may round an element
-    differently depending on the length of the array it sits in, so a
-    caller that slices its nodes slices this table, not ``pf`` and ``pd``.
+    entries instead of NaN. Each exponent row is one 1-D ``np.power`` of the
+    stacked bases by a scalar, so a node's entries do not depend on the other
+    nodes (a broadcast ``p[None, :] ** ks`` rounds some by array length).
     """
     pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
-    ks = np.arange(top + 1)[:, None]
-    return tuple(p[None, :] ** ks for p in (pd, 1.0 - pd, pf, 1.0 - pf))
+    bases = np.stack([pd, 1.0 - pd, pf, 1.0 - pf])
+    table = np.empty((top + 1,) + bases.shape)
+    for k in range(top + 1):
+        np.power(bases, float(k), out=table[k])
+    return tuple(table[:, i] for i in range(4))
 
 
 def likelihoods(exponents: np.ndarray, powers: Sequence[np.ndarray]) -> np.ndarray:

@@ -5,13 +5,15 @@ count blocks, leave-one-out sums instead of the S - max shortcut, and the
 classical pentagonal-number recurrence for partition counts. None of it
 shares code with the package paths it validates. The region-map oracles walk
 ``RegionMap.cells`` one ``RegionCell`` at a time instead of reading the
-map's per-node arrays. ``pe_grid_full_table`` is the exception that proves a
-rewrite changed no bits: it repeats the grid kernel's arithmetic in its
-plainest array form.
+map's per-node arrays. ``pe_exact`` is the one exact reference: rational
+arithmetic, no rounding at all. ``pe_grid_full_table`` is the exception
+that proves a rewrite changed no bits: it repeats the grid kernel's
+arithmetic in its plainest array form.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import attrgetter
 
 import numpy as np
@@ -68,22 +70,57 @@ def pe_from_positions(positions, n: int, pd: float, pf: float) -> float:
     return total / n
 
 
+def pe_exact(positions, n: int, pd: float, pf: float) -> Fraction:
+    """Error probability as an exact rational, O(2^m * n * m) Fraction steps.
+
+    Sums over every alarm vector at the exact value of the float node
+    (``Fraction(pd)``, and ``1 - Fraction(pd)`` rather than the rounded
+    ``1.0 - pd``), so it measures the accuracy of a float evaluator.
+    """
+    pd, pf = Fraction(pd), Fraction(pf)
+    m = len(positions)
+    total = Fraction(0)
+    for idx in range(1 << m):
+        bits = bits_from_index(idx, m)
+        rows = []
+        for j in range(1, n + 1):
+            prob = Fraction(1)
+            for y_k, u_k in zip(bits, positions):
+                p = pd if u_k == j else pf
+                prob *= p if y_k else 1 - p
+            rows.append(prob)
+        s = sum(rows)
+        total += min(s - row for row in rows)
+    return total / n
+
+
 def pe_grid_full_table(exponents, mult, weight, n: int, pf, pd) -> np.ndarray:
     """Grid P_e from the full (rows, classes, nodes) likelihood table.
 
     Takes a ``count_classes`` table and equal-length node arrays. Builds the
-    powers over the whole grid, forms every row x class likelihood with four
-    gathers and three multiplies, and sums in the grid kernel's order
-    (rows first, the empty row weighted by its multiplicity, then classes
-    in the S - max form), so the kernel must match it bit for bit.
+    powers over the whole grid, one 1-D ``np.power`` of the stacked bases per
+    exponent (an element's bits then do not depend on the array's length),
+    forms every row x class likelihood with four gathers and three
+    multiplies, and sums in the grid kernel's order: rows one after another,
+    the empty row weighted by its multiplicity, then the classes one after
+    another in the S - max form. The sums are written out as loops, not
+    numpy reductions, which add pairwise along a contiguous axis, so the
+    order is the same for one node and for many, and the kernel must match
+    this bit for bit.
     """
     pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
-    ks = np.arange(exponents.max() + 1)[:, None]
-    a, b, c, d = (p[None, :] ** ks for p in (pd, 1.0 - pd, pf, 1.0 - pf))
+    bases = np.stack([pd, 1.0 - pd, pf, 1.0 - pf])
+    powers = np.array([np.power(bases, float(k)) for k in range(exponents.max() + 1)])
+    a, b, c, d = (powers[:, i] for i in range(4))
     pmf = a[exponents[0]] * b[exponents[1]] * c[exponents[2]] * d[exponents[3]]
-    s = (mult[:, None, None] * pmf).sum(axis=0)
-    mx = pmf.max(axis=0)
-    return (weight[:, None] * (s - mx)).sum(axis=0) / n
+    s = mult[0] * pmf[0]
+    for r in range(1, len(pmf)):
+        s = s + mult[r] * pmf[r]
+    gaps = weight[:, None] * (s - pmf.max(axis=0))
+    total = gaps[0]
+    for row in gaps[1:]:
+        total = total + row
+    return total / n
 
 
 def _label(counts) -> str:

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from placedet import (
     optimal_placements,
 )
 from placedet import detection
+from placedet.analysis import COUNTEREXAMPLE_PROBES, grid_values, sweep_window
 from placedet.detection import class_count, count_classes
 from placedet.model import power_table
 
-from oracles import pe_from_positions, pe_grid_full_table, positions_from_counts
+from oracles import pe_exact, pe_from_positions, pe_grid_full_table, positions_from_counts
 
 P11 = canonicalize_placement([1, 1], n=2)
 P20 = canonicalize_placement([2], n=2)
@@ -252,9 +254,9 @@ def _oracle_nodes(rng, size):
 
 def test_grid_kernel_bit_identical_to_full_table_oracle():
     # The distinct-column kernel must reproduce the full (rows, classes,
-    # nodes) formulation exactly: one node (summed pairwise by numpy), a
-    # small grid, and a default-width grid whose lone last node joins the
-    # slice before it; each with its own and with a shared power table.
+    # nodes) formulation exactly: one node (which numpy would sum pairwise),
+    # a small grid, and a default-width grid whose last slice holds one
+    # node; each with its own and with a shared power table.
     rng = np.random.default_rng(23)
     for m in range(1, 9):
         for counts in enumerate_partitions(m):
@@ -280,6 +282,77 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
                 expected = pe_grid_full_table(exponents, mult, weight, n, pf, pd)
                 got = error_probability_grid(counts, n, pf, pd, powers=power_table(pf, pd, m))
                 assert np.array_equal(got, expected), (counts, n, pf, pd)
+
+
+def test_node_bits_do_not_depend_on_grid(monkeypatch):
+    # A node's P_e is the same float alone, beside one other node, at any
+    # slice width inside a larger grid (the last node of 50 is a lone slice
+    # at width 7), and through the scalar evaluator.
+    rng = np.random.default_rng(31)
+    pf, pd = rng.uniform(size=(2, 50))
+    probes = (0, 24, 49)
+    default = detection.GRID_CHUNK_ENTRIES
+    for m in range(1, 13):
+        for counts in enumerate_partitions(m):
+            n = m + 1
+            exponents = count_classes(counts, n)[0]
+            per_node = exponents.shape[1] * exponents.shape[2]
+            grids = []
+            for entries in (2 * per_node, 3 * per_node, 7 * per_node, default):
+                monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
+                grids.append(error_probability_grid(counts, n, pf, pd))
+            placement = canonicalize_placement(counts, n)
+            for g in probes:
+                alone = error_probability_grid(counts, n, pf[g : g + 1], pd[g : g + 1])[0]
+                pair = error_probability_grid(counts, n, pf[[g, 7]], pd[[g, 7]])[0]
+                scalar = error_probability(placement, SensorModel(pd[g], pf[g]), n).value
+                assert all(grid[g] == alone for grid in grids), (counts, g)
+                assert pair == alone and scalar == alone, (counts, g)
+
+
+def test_optimum_matches_region_map_cell():
+    # optimal and a sweep evaluate the same node to the same bits
+    pf_axis, pd_axis = (0.3, 0.46, 0.48), (0.5, 0.55, 0.6)
+    window = sweep_window(7, 8, pf_axis, pd_axis)
+    cells = {(cell.p_f, cell.p_d): cell for cell in window.cells}
+    for p_f, p_d, _ in COUNTEREXAMPLE_PROBES:
+        opt = optimal_placements(7, 8, SensorModel(p_d=p_d, p_f=p_f))
+        cell = cells[p_f, p_d]
+        assert (opt.pe_min, opt.margin) == (cell.pe_min, cell.margin), (p_f, p_d)
+        assert [p.counts for p in opt.best] == list(cell.best)
+
+
+def test_power_table_of_a_slice_is_the_slice_of_the_table():
+    lengths = [*range(1, 70), 255, 256, 257, 1000, 2047, 2048, 4095, 4096, 8191, 8192, 8193, 20_000]
+    size = 1001 + lengths[-1]
+    node_sets = [np.random.default_rng(5).uniform(size=(2, size))]
+    for step in (0.005, 0.001):  # the first nodes of a full-square sweep
+        values = np.array(grid_values(step))
+        i_d, i_f = np.divmod(np.arange(size), values.size)
+        node_sets.append((values[i_f], values[i_d]))
+    for pf, pd in node_sets:
+        whole = power_table(pf, pd, 20)
+        for lo in (0, 3, 1001):
+            for length in lengths:
+                part = power_table(pf[lo : lo + length], pd[lo : lo + length], 20)
+                for w, p in zip(whole, part):
+                    assert np.array_equal(w[:, lo : lo + length], p), (lo, length)
+
+
+def test_kernel_accuracy_against_exact_rationals():
+    rng = np.random.default_rng(41)
+    pf, pd = rng.uniform(size=(2, 4))
+    for m in range(1, 7):
+        for counts in enumerate_partitions(m):
+            n = m + 1
+            positions = positions_from_counts(counts)
+            grid = error_probability_grid(counts, n, pf, pd)
+            for g in range(pf.size):
+                alone = error_probability_grid(counts, n, pf[g : g + 1], pd[g : g + 1])[0]
+                exact = pe_exact(positions, n, pd[g], pf[g])
+                for value in (grid[g], alone):
+                    error = float(abs(Fraction(value) - exact) / exact)
+                    assert error <= 2e-15, (counts, pf[g], pd[g], error)
 
 
 def test_grid_rejects_malformed_nodes():
