@@ -25,9 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import argmin_with_ties, class_count, error_probability_grid, optimal_placements
+from .detection import (
+    argmin_with_ties,
+    class_count,
+    error_probability_grid,
+    likelihood_columns,
+    optimal_placements,
+    slice_table,
+    slice_width,
+)
 from .majorization import MajorizationVerdict, PlacementScale, chain_sort, compare, is_chain
-from .model import SensorModel, power_table
+from .model import SensorModel
 from .partitions import enumerate_partitions
 
 STEP_MIN = 1e-3
@@ -211,29 +219,48 @@ def _region_map(m, n, step, region, pf_values, pd_values, threads) -> RegionMap:
     """Evaluate every partition of m at the map's nodes and take the argmin."""
     _, _, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
     parts = tuple(enumerate_partitions(m))
-    pes = np.empty((len(parts), pf.size))
-    powers = power_table(pf, pd, m)  # shared by every partition
+    pes = _partition_pes(parts, (n,), pf, pd, threads)[0]
+    return RegionMap.from_pes(m, n, step, region, pf_values, pd_values, parts, pes)
 
-    def run(i: int) -> None:
-        pes[i] = error_probability_grid(parts[i], n, pf, pd, powers=powers)
 
+def _partition_pes(parts, n_values, pf, pd, threads=1) -> np.ndarray:
+    """P_e of every partition of one m at each point count: (n_values, parts, nodes).
+
+    Node slices run in the outer loop, split over ``threads`` workers. Each
+    slice builds one :func:`~placedet.detection.slice_table`, which every
+    partition and point count reads, so no table spans the whole grid.
+    """
+    m = sum(parts[0])
+    pes = np.empty((len(n_values), len(parts), pf.size))
+    width = slice_width(likelihood_columns(m).shape[1], max(map(class_count, parts)))
+
+    def run(lo: int) -> None:
+        nodes = slice(lo, lo + width)
+        f, d = pf[nodes], pd[nodes]
+        table = slice_table(f, d, m)
+        for j, n in enumerate(n_values):
+            for i, counts in enumerate(parts):
+                pes[j, i, nodes] = error_probability_grid(counts, n, f, d, table=table)
+
+    starts = range(0, pf.size, width)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(parts))))
+            list(pool.map(run, starts))
     else:
-        for i in range(len(parts)):
-            run(i)
-    del powers  # 36 floats a node at m = 8, against 22 in pes: free it before the argmin pass
-    return RegionMap.from_pes(m, n, step, region, pf_values, pd_values, parts, pes)
+        for lo in starts:
+            run(lo)
+    return pes
 
 
 def region_csv_text(region_map: RegionMap) -> str:
     """CSV dump: one row per node, row order = p_d outer / p_f inner ascending."""
     rm = region_map
     labels = ["-".join(map(str, p)) for p in rm.partitions]
+    pf_labels = [f"{float(p):.6g}" for p in rm.pf_values]  # each axis value formatted once
+    pd_labels = [f"{float(p):.6g}" for p in rm.pd_values]
     columns = zip(
-        rm.pf.tolist(),
-        rm.pd.tolist(),
+        rm.i_f.tolist(),
+        rm.i_d.tolist(),
         rm.winner.tolist(),
         rm.tie.sum(axis=0).tolist(),
         rm.pe_min.tolist(),
@@ -241,8 +268,8 @@ def region_csv_text(region_map: RegionMap) -> str:
     )
     lines = ["p_f,p_d,best,tie_count,pe_min,margin"]
     lines += [
-        f"{p_f:.6g},{p_d:.6g},{labels[w]},{ties},{pe_min!r},{margin!r}"
-        for p_f, p_d, w, ties, pe_min, margin in columns
+        f"{pf_labels[i_f]},{pd_labels[i_d]},{labels[w]},{ties},{pe_min!r},{margin!r}"
+        for i_f, i_d, w, ties, pe_min, margin in columns
     ]
     return "\n".join(lines) + "\n"
 
@@ -378,15 +405,14 @@ def verify_thm41(m_max: int = 5, step: float = 0.02) -> VerificationReport:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
     values = grid_values(step)
     _, _, pf, pd = _nodes(values, values, half_plane=True)
-    powers = power_table(pf, pd, m_max)
     checked = 0
     worst = -math.inf
     counterexamples = []
     for m in range(2, m_max + 1):
         uniform = (1,) * m
         doubled = (2,) + (1,) * (m - 2)
-        pe_uni = error_probability_grid(uniform, m, pf, pd, powers=powers)
-        pe_two = error_probability_grid(doubled, m, pf, pd, powers=powers)
+        pe_uni = error_probability_grid(uniform, m, pf, pd)
+        pe_two = error_probability_grid(doubled, m, pf, pd)
         excess = pe_two - pe_uni
         checked += pf.size
         worst = max(worst, float(excess.max()))
@@ -417,15 +443,13 @@ def verify_thm42(m: int, n1: int, n2: int, step: float = 0.05) -> VerificationRe
     values = grid_values(step)
     _, _, pf, pd = _nodes(values, values, half_plane=False)
     parts = tuple(enumerate_partitions(m))
-    powers = power_table(pf, pd, m)
-    pe1 = {p: error_probability_grid(p, n1, pf, pd, powers=powers) for p in parts}
-    pe2 = {p: error_probability_grid(p, n2, pf, pd, powers=powers) for p in parts}
+    pe1, pe2 = _partition_pes(parts, (n1, n2), pf, pd)
     checked = 0
     worst = 0.0
     counterexamples = []
     for i, v in enumerate(parts):
-        for w in parts[i + 1 :]:
-            dev = np.abs(n2 * (pe2[v] - pe2[w]) - n1 * (pe1[v] - pe1[w]))
+        for j, w in enumerate(parts[i + 1 :], i + 1):
+            dev = np.abs(n2 * (pe2[i] - pe2[j]) - n1 * (pe1[i] - pe1[j]))
             checked += pf.size
             worst = max(worst, float(dev.max()))
             for g in np.nonzero(dev > THM42_TOL)[0]:

@@ -10,20 +10,24 @@ since dropping the largest term minimizes the leave-one-out sum. p_j(y)
 depends on y only through the per-block alarm counts, and equal blocks are
 interchangeable, so the sum runs over count classes (multisets of per-block
 alarm counts) weighted by their number of alarm vectors: M + 1 classes for
-the placement 1^M, at most 2^M. Many (row, class) pairs share one likelihood
-(the same own-block count a, false alarms c and block size v), so the grid
-kernel forms each distinct one once per node slice, from a power table that
-the placements of one map share. S adds the occupied rows once each and the
-shared empty-point row n - k times, then the classes, in a fixed order, so a
-node's P_e bits do not depend on the grid or window around it, the slice
-width or the thread count: ``pe``, ``optimal`` and sweeps agree bit for bit.
+the placement 1^M, at most 2^M. A likelihood depends only on the own-block
+count a, the false alarms c and the block size v, so all placements of M
+share C(M + 3, 3) columns (165 at M = 8). A region map builds one table of
+them per node slice (:func:`slice_table`) and every placement and point
+count reads it; a lone placement forms only its own distinct columns per
+slice. S adds the occupied rows once each and the shared empty-point row
+n - k times, then the classes, in a fixed order, so a node's P_e bits do
+not depend on the grid or window around it, the slice width, the table or
+the thread count: ``pe``, ``optimal`` and sweeps agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,14 +55,15 @@ instead of being broken by noise.
 MAX_SEARCH_M = 20  # each partition costs one term per count class; refuse beyond desk scale
 
 GRID_CHUNK_ENTRIES = 1 << 16
-"""Rows x classes x nodes per slice in :func:`error_probability_grid`.
+"""Floats per likelihood table or (classes, nodes) block in :func:`error_probability_grid`.
 
-A slice holds this many entries divided by rows x classes nodes; e.g. 227
-nodes at a time for the 288 row-class pairs of (3,2,1,1,1) on 9 points, and
-8192 for (3,) on 4 points. Its distinct-column likelihood table and its
-per-row (classes, nodes) blocks each hold at most this many floats
-(512 KiB), whatever the grid size. Temporaries of this size stay in cache,
-which made M = 8 and small-M sweeps faster than one whole-grid slice.
+A slice holds this many entries divided by the larger of its table's
+columns and the placement's classes (:func:`slice_width`); e.g. 397 nodes
+at a time for the 165-column :func:`slice_table` of m = 8, and 8192 for
+(3,) on 4 points. Its likelihood table and its per-row (classes, nodes)
+blocks each hold at most this many floats (512 KiB), whatever the grid
+size. Temporaries of this size stay in cache, which made M = 8 and small-M
+sweeps faster than one whole-grid slice.
 """
 
 MAP_TIE_RTOL = 1e-12
@@ -152,21 +157,21 @@ def error_probability_grid(
     pf: np.ndarray,
     pd: np.ndarray,
     *,
-    powers: tuple[np.ndarray, ...] | None = None,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized P_e for one canonical placement at many (p_f, p_d) points.
 
     ``pf`` and ``pd`` are equal-length 1-D arrays of values in [0, 1];
     returns the matching P_e array. :func:`error_probability` is this kernel
-    at a single point. ``powers`` is a :func:`~placedet.model.power_table`
-    of the same nodes that reaches the largest exponent (``sum(counts)``
-    always does), so that the placements of one map share one table; it is
-    built here when omitted. Many (row, class) pairs share one (a, b, c, d)
-    column, so each node slice forms the likelihoods of the distinct columns
-    only, then gathers them row by row into S and the running max. Nodes go
-    through in slices of ``GRID_CHUNK_ENTRIES // (rows x classes)`` nodes,
+    at a single point. ``table`` is a :func:`slice_table` of the same nodes
+    and m = ``sum(counts)``, so that every placement of m and every point
+    count read one likelihood table. Without it, each node slice forms only
+    the placement's own distinct columns, from a power table of that slice.
+    Either way the kernel gathers the columns row by row into S and the
+    running max. Nodes go through in slices of :func:`slice_width` nodes,
     so memory stays bounded. A node's value does not depend on the other
-    nodes, the slice width or the thread count: alone it gets the same bits.
+    nodes, the slice width, the table or the thread count: alone it gets
+    the same bits.
     """
     m = sum(counts)
     if m > n:
@@ -176,43 +181,113 @@ def error_probability_grid(
         raise ValueError(f"pf and pd must be 1-D of equal length, got {pf.shape} and {pd.shape}")
     if not (((0.0 <= pf) & (pf <= 1.0)).all() and ((0.0 <= pd) & (pd <= 1.0)).all()):
         raise ValueError("pf and pd must be finite and in [0, 1]")  # NaN fails both bounds
-    exponents, mult, weight = count_classes(tuple(counts), n)
-    top = int(exponents.max())
-    if powers is None:
-        powers = power_table(pf, pd, top)  # whole grid at once, then sliced
-    elif len(powers) != 4 or any(
-        np.ndim(p) != 2 or p.shape[1] != pf.size or p.shape[0] <= top for p in powers
-    ):
-        raise ValueError(f"powers must be a power_table of these {pf.size} nodes up to {top}")
-    rows, classes = exponents.shape[1:]
-    # b = v - a and d = m - c - v, so (a, c, v) identifies a column
-    a, b, c = exponents[:3].reshape(3, -1)
-    _, first, inverse = np.unique(
-        (a * (m + 1) + c) * (m + 1) + a + b, return_index=True, return_inverse=True
-    )
-    columns = exponents.reshape(4, -1)[:, first]
-    inverse = inverse.reshape(rows, classes)
+    classes = class_table(tuple(counts), n)
+    if table is None:
+        columns = likelihood_columns(m)[:, classes.distinct]
+        top = int(columns.max())
+        inverse, entries = classes.inverse, columns.shape[1]
+    else:
+        if np.shape(table) != (likelihood_columns(m).shape[1], pf.size):
+            raise ValueError(f"table must be a slice_table of these {pf.size} nodes for m={m}")
+        inverse, entries = classes.column, len(table)
     size = pf.size
     out = np.empty(size)
-    width = max(2, GRID_CHUNK_ENTRIES // (rows * classes))
+    width = slice_width(entries, classes.weight.size)
     for lo in range(0, size, width):
         hi = min(lo + width, size)
         # numpy sums a one-node block pairwise and wider ones in order, so a
         # lone node goes through as two copies of itself
         nodes = slice(lo, hi) if hi - lo > 1 else [lo, lo]
-        table = likelihoods(columns, [p[:, nodes] for p in powers])  # (distinct, nodes)
-        out[lo:hi] = _weighted_gaps(table, inverse, mult, weight)[: hi - lo] / n
-        del table  # before the next slice's table is built
+        if table is None:
+            part = likelihoods(columns, power_table(pf[nodes], pd[nodes], top))
+        else:
+            part = table[:, nodes]
+        out[lo:hi] = _weighted_gaps(part, inverse, classes.mult, classes.weight)[: hi - lo] / n
     return out
+
+
+def slice_width(entries: int, classes: int) -> int:
+    """Nodes per slice for a table of ``entries`` likelihood columns and ``classes`` classes.
+
+    :func:`_weighted_gaps` holds the table and (classes, nodes) blocks, so
+    neither exceeds ``GRID_CHUNK_ENTRIES`` floats; at least two nodes.
+    """
+    return max(2, GRID_CHUNK_ENTRIES // max(entries, classes))
+
+
+@functools.cache
+def likelihood_columns(m: int) -> np.ndarray:
+    """(4, C(m + 3, 3)) exponents (a, b, c, d) of every likelihood column of m sensors.
+
+    A column is fixed by the block size v, the block's alarms a and the false
+    alarms c (b = v - a, d = m - v - c). Columns run v, then a, then c
+    ascending, so (a, c, v) sits at ``offset(v) + a * (m - v + 1) + c``
+    (:func:`class_table`). Read-only.
+    """
+    columns = np.array(
+        [
+            (a, v - a, c, m - v - c)
+            for v in range(m + 1)
+            for a in range(v + 1)
+            for c in range(m - v + 1)
+        ],
+        dtype=np.intp,
+    ).T
+    columns.flags.writeable = False
+    return columns
+
+
+def slice_table(pf, pd, m: int) -> np.ndarray:
+    """Every likelihood column of m sensors at each node: (C(m + 3, 3), nodes).
+
+    One table serves every placement of m and every point count n through
+    ``error_probability_grid(..., table=...)``; e.g. 165 columns at m = 8,
+    against 1,101 distinct columns over the 22 placements on 9 points.
+    """
+    return likelihoods(likelihood_columns(m), power_table(pf, pd, m))
+
+
+class ClassTable(NamedTuple):
+    """The :func:`count_classes` table of a placement as read-only column indices.
+
+    ``mult`` and ``weight`` are those of :func:`count_classes`; ``column``
+    (rows, classes) locates each likelihood in :func:`likelihood_columns`.
+    ``distinct`` lists the columns the placement uses and ``inverse``
+    (rows, classes) indexes into ``distinct``.
+    """
+
+    mult: np.ndarray
+    weight: np.ndarray
+    column: np.ndarray
+    distinct: np.ndarray
+    inverse: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)  # every placement of m <= 16 at one n
+def class_table(counts: tuple[int, ...], n: int) -> ClassTable:
+    """:class:`ClassTable` of ``counts`` over n points, built once per (counts, n)."""
+    exponents, mult, weight = count_classes(counts, n)
+    m = sum(counts)
+    a, b, c = exponents[:3]
+    v = a + b
+    sizes = np.arange(m + 1)
+    offset = np.concatenate([[0], np.cumsum((sizes + 1) * (m - sizes + 1))])  # columns before size v
+    column = offset[v] + a * (m - v + 1) + c
+    distinct, inverse = np.unique(column, return_inverse=True)
+    table = ClassTable(mult, weight, column, distinct, inverse.reshape(column.shape))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _weighted_gaps(table, inverse, mult, weight) -> np.ndarray:
     """Sum over classes of weight x (S - max) for one node slice.
 
-    ``table`` holds the distinct likelihoods (columns x nodes) and
-    ``inverse`` (rows, classes) the column of each row and class. S adds the
-    rows in order, each times its ``mult`` (1, or n - k for the empty row);
-    the (classes, nodes) arrays die on return.
+    ``table`` holds likelihood columns x nodes (a placement's distinct
+    columns or a :func:`slice_table`) and ``inverse`` (rows, classes) the
+    column of each row and class. S adds the rows in order, each times its
+    ``mult`` (1, or n - k for the empty row); the (classes, nodes) arrays
+    die on return.
     """
     s = table[inverse[0]]
     mx = s.copy()

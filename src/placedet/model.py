@@ -18,13 +18,13 @@ alarms in total, the alarm vector has likelihood
     p_j(y) = p_d^a (1-p_d)^(v-a) p_f^(s-a) (1-p_f)^(M-s-(v-a))
 
 (an empty point has v = a = 0). :func:`likelihoods` is the one place this
-product is formed, from the powers in a :func:`power_table`;
-:class:`PmfTable` (one column per alarm vector) and the count-class P_e
-kernel in :mod:`placedet.detection` both hand it exponent tables built by
-:func:`block_exponents`. The kernel passes only the distinct (a, b, c, d)
-columns of its table, and the placements of one region map share one
-:func:`power_table` of its nodes, built once up to exponent M. A node's
-powers do not depend on the other nodes of the table.
+product is formed, from the powers in a :func:`power_table`.
+:class:`PmfTable` (one column per alarm vector) hands it exponent tables
+built by :func:`block_exponents`; the count-class P_e kernel in
+:mod:`placedet.detection` hands it (a, b, c, d) columns, either one
+placement's distinct ones or all C(M + 3, 3) of M, which the placements of
+one region map share. Either way the powers cover one node slice only, and
+a node's powers do not depend on the other nodes of the table.
 """
 
 from __future__ import annotations

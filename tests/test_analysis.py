@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import monotone_on_scale_by_cells, region_csv_by_cells
+from oracles import monotone_on_scale_by_cells, pe_grid_full_table, region_csv_by_cells
 from placedet import (
     BudgetError,
     RegionMap,
@@ -32,7 +32,8 @@ from placedet.analysis import (
     region_csv_text,
     strict_onset,
 )
-from placedet.detection import count_classes
+from placedet import detection
+from placedet.detection import class_count, count_classes, error_probability_grid
 from placedet.partitions import enumerate_partitions
 
 
@@ -390,9 +391,10 @@ def test_conjecture_chain_reports_uncovered_ties():
 
 
 def test_region_map_frees_power_table_before_argmin(monkeypatch):
-    # At m = 8 the shared power table (4 x 9 floats per node) outweighs the
-    # P_e array (22 per node); held through the argmin pass, it raised the
-    # peak of `sweep --m 8 --n 8 --step 0.001` from 273 to 385 MiB.
+    # At m = 8 a whole-grid power table (4 x 9 floats per node) outweighs
+    # the P_e array (22 per node); held through the argmin pass, it raised
+    # the peak of `sweep --m 8 --n 8 --step 0.001` from 273 to 385 MiB. A
+    # map now holds one slice table at a time and none into the argmin.
     axis = tuple(np.linspace(0.01, 0.99, 60))
     nodes = len(axis) ** 2
     pes_bytes = len(enumerate_partitions(8)) * nodes * 8
@@ -411,3 +413,87 @@ def test_region_map_frees_power_table_before_argmin(monkeypatch):
     finally:
         tracemalloc.stop()
     assert held[0] < pes_bytes + table_bytes / 2
+
+
+def _capture_pes(monkeypatch) -> list:
+    """Patch ``RegionMap.from_pes`` to record the P_e array of each map built."""
+    captured = []
+    from_pes = RegionMap.from_pes.__func__
+
+    def capture(cls, *args):
+        captured.append(args[-1])
+        return from_pes(cls, *args)
+
+    monkeypatch.setattr(RegionMap, "from_pes", classmethod(capture))
+    return captured
+
+
+def test_kernel_peak_of_a_map_does_not_grow_with_nodes(monkeypatch):
+    # Past P_e itself, the kernel phase of a map holds one slice table and
+    # its temporaries, whatever the node count; only the node arrays (i_f,
+    # i_d, pf, pd: 32 bytes a node) grow. A whole-grid power table added
+    # 288 bytes a node at m = 8.
+    peaks = []
+    from_pes = RegionMap.from_pes.__func__
+
+    def traced_from_pes(cls, *args):
+        peaks.append(tracemalloc.get_traced_memory()[1] - args[-1].nbytes)
+        return from_pes(cls, *args)
+
+    monkeypatch.setattr(RegionMap, "from_pes", classmethod(traced_from_pes))
+    sizes = []
+    for side in (60, 120):
+        axis = tuple(np.linspace(0.01, 0.99, side))
+        sizes.append(side * side)
+        tracemalloc.start()
+        try:
+            sweep_window(8, 8, axis, axis)
+        finally:
+            tracemalloc.stop()
+    assert sizes == [3_600, 14_400]
+    assert peaks[1] - peaks[0] < 64 * (sizes[1] - sizes[0]), peaks
+
+
+WINDOW_AXES = (tuple(0.46 + 0.01 * i for i in range(5)), tuple(0.5 + 0.01 * i for i in range(7)))
+
+
+def test_region_map_pes_match_standalone_kernel_and_oracle(monkeypatch):
+    # A map's shared slice tables give every partition the bits of its own
+    # standalone kernel call and of the full-table oracle: on the half
+    # plane, on a window, and at two threads over 7-node slices (the last
+    # of the 190 nodes is a lone slice).
+    captured = _capture_pes(monkeypatch)
+    default = detection.GRID_CHUNK_ENTRIES
+    for m in range(1, 9):
+        parts = enumerate_partitions(m)
+        per_node = max(detection.likelihood_columns(m).shape[1], max(map(class_count, parts)))
+        builds = (
+            (default, lambda n: sweep_plane(m, n, 0.05)),
+            (default, lambda n: sweep_window(m, n, *WINDOW_AXES)),
+            (7 * per_node, lambda n: sweep_plane(m, n, 0.05, threads=2)),
+        )
+        for n in (m, m + 1, m + 3):
+            for entries, build in builds:
+                monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
+                region_map = build(n)
+                monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", default)
+                pes = captured.pop()
+                pf, pd = region_map.pf, region_map.pd
+                assert pes.shape == (len(parts), pf.size)
+                for i, counts in enumerate(region_map.partitions):
+                    oracle = pe_grid_full_table(*count_classes(counts, n), n, pf, pd)
+                    assert np.array_equal(pes[i], error_probability_grid(counts, n, pf, pd))
+                    assert np.array_equal(pes[i], oracle), (m, n, counts)
+
+
+def test_csv_labels_equal_per_node_formatting():
+    # each axis value is formatted once; the rows must equal the per-node
+    # f-string rendering, also for axis values like 0.46 + 0.01 * i that are
+    # not the nearest floats to their decimals
+    maps = [
+        sweep_plane(4, 5, 0.01),
+        sweep_window(7, 8, *WINDOW_AXES),
+        sweep_window(3, 4, tuple(np.linspace(0.0, 1.0, 7)), (0.25, 1, 0.999999949)),
+    ]
+    for region_map in maps:
+        assert region_csv_text(region_map) == region_csv_by_cells(region_map)

@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, validation, exit codes, artifacts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -285,3 +286,19 @@ def test_placement_parse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["pe", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "2-x"])
     assert excinfo.value.code == 2
+
+
+# first 16 hex digits of the sha256 of each CSV; pins the bytes across kernel changes
+GOLDEN_SWEEPS = (
+    (("--m", "8", "--n", "9", "--step", "0.01"), "c40e60eb99d7bafa"),
+    (("--m", "7", "--n", "8", "--step", "0.005", "--threads", "2"), "a04fc78e2d07d2cb"),
+    (("--m", "4", "--n", "4", "--step", "0.005", "--region", "full"), "8de4a9c6c09738ab"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_SWEEPS)
+def test_sweep_csv_digests(capsys, tmp_path, argv, digest):
+    out = tmp_path / "map.csv"
+    code, _, _ = run(capsys, "sweep", *argv, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest

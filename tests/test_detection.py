@@ -25,7 +25,13 @@ from placedet import (
 )
 from placedet import detection
 from placedet.analysis import COUNTEREXAMPLE_PROBES, grid_values, sweep_window
-from placedet.detection import class_count, count_classes
+from placedet.detection import (
+    class_count,
+    class_table,
+    count_classes,
+    likelihood_columns,
+    slice_table,
+)
 from placedet.model import power_table
 
 from oracles import pe_exact, pe_from_positions, pe_grid_full_table, positions_from_counts
@@ -213,19 +219,48 @@ def test_count_class_table_shape():
     assert sum(count_classes(c, 8)[2].size for c in enumerate_partitions(8)) == 591
 
 
+def _per_node(counts, n, table=None):
+    """Floats per node of the kernel's larger slice array: its table, or its classes."""
+    classes = class_table(counts, n)
+    entries = classes.distinct.size if table is None else len(table)
+    return max(entries, classes.weight.size)
+
+
 def test_grid_slices_match_one_slice(monkeypatch):
     rng = np.random.default_rng(11)
     pf, pd = rng.uniform(size=(2, 1001))
     pf[:4], pd[:4] = [0.0, 1.0, 0.3, 0.5], [1.0, 0.0, 0.3, 0.5]
     for counts, n in (((3, 2, 1, 1, 1), 9), ((1, 1, 1), 4), ((2,), 2)):
-        exponents = count_classes(counts, n)[0]
-        per_node = exponents.shape[1] * exponents.shape[2]
+        table = slice_table(pf, pd, sum(counts))
         monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", 1 << 62)
         whole = error_probability_grid(counts, n, pf, pd)
+        assert np.array_equal(error_probability_grid(counts, n, pf, pd, table=table), whole)
         # width 1 is raised to 2 nodes; 4 and 250 leave one node over (1001 = 4 * 250 + 1)
-        for width in (1, 3, 4, 250):
-            monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", width * per_node)
-            assert np.array_equal(error_probability_grid(counts, n, pf, pd), whole)
+        for width in (1, 2, 3, 4, 7, 250):
+            for shared in (None, table):
+                entries = width * _per_node(counts, n, shared)
+                monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
+                got = error_probability_grid(counts, n, pf, pd, table=shared)
+                assert np.array_equal(got, whole), (counts, width, shared is None)
+
+
+def test_slice_width_follows_the_larger_array(monkeypatch):
+    # the kernel holds the table and (classes, nodes) blocks, never rows x classes
+    m, n = 8, 9
+    assert likelihood_columns(m).shape[1] == math.comb(m + 3, 3) == 165
+    assert detection.slice_width(165, 48) == detection.GRID_CHUNK_ENTRIES // 165 == 397
+    assert detection.slice_width(8, 4) == 8192 and detection.slice_width(1 << 20, 1) == 2
+    widths = []
+    original = detection._weighted_gaps
+
+    def recording(table, *rest):
+        widths.append(table.shape[1])
+        return original(table, *rest)
+
+    monkeypatch.setattr(detection, "_weighted_gaps", recording)
+    pf = np.linspace(0.01, 0.5, 1000)
+    error_probability_grid((3, 2, 1, 1, 1), n, pf, pf + 0.3, table=slice_table(pf, pf + 0.3, m))
+    assert widths == [397, 397, 206]
 
 
 def test_grid_memory_bounded_by_slice():
@@ -256,20 +291,19 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
     # The distinct-column kernel must reproduce the full (rows, classes,
     # nodes) formulation exactly: one node (which numpy would sum pairwise),
     # a small grid, and a default-width grid whose last slice holds one
-    # node; each with its own and with a shared power table.
+    # node; each with its own columns and with a shared slice table.
     rng = np.random.default_rng(23)
     for m in range(1, 9):
         for counts in enumerate_partitions(m):
             for n in (m, m + 2):
                 exponents, mult, weight = count_classes(counts, n)
-                per_node = exponents.shape[1] * exponents.shape[2]
-                width = max(2, detection.GRID_CHUNK_ENTRIES // per_node)
+                width = detection.slice_width(class_table(counts, n).distinct.size, weight.size)
                 for size in (1, 40, 2 * width + 1):
                     pf, pd = _oracle_nodes(rng, size)
                     expected = pe_grid_full_table(exponents, mult, weight, n, pf, pd)
                     assert np.array_equal(error_probability_grid(counts, n, pf, pd), expected)
-                    shared = power_table(pf, pd, m)
-                    got = error_probability_grid(counts, n, pf, pd, powers=shared)
+                    table = slice_table(pf, pd, m)
+                    got = error_probability_grid(counts, n, pf, pd, table=table)
                     assert np.array_equal(got, expected), (counts, n, size)
     # numpy's pairwise row sum differs from the in-order one from 8 rows on,
     # so one-node grids also run at m = 9..12
@@ -280,34 +314,40 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
             for _ in range(3):
                 pf, pd = rng.uniform(size=(2, 1))
                 expected = pe_grid_full_table(exponents, mult, weight, n, pf, pd)
-                got = error_probability_grid(counts, n, pf, pd, powers=power_table(pf, pd, m))
+                got = error_probability_grid(counts, n, pf, pd, table=slice_table(pf, pd, m))
                 assert np.array_equal(got, expected), (counts, n, pf, pd)
 
 
 def test_node_bits_do_not_depend_on_grid(monkeypatch):
     # A node's P_e is the same float alone, beside one other node, at any
     # slice width inside a larger grid (the last node of 50 is a lone slice
-    # at width 7), and through the scalar evaluator.
+    # at width 7), with or without a shared slice table, and through the
+    # scalar evaluator.
     rng = np.random.default_rng(31)
     pf, pd = rng.uniform(size=(2, 50))
     probes = (0, 24, 49)
     default = detection.GRID_CHUNK_ENTRIES
     for m in range(1, 13):
+        table = slice_table(pf, pd, m)
         for counts in enumerate_partitions(m):
             n = m + 1
-            exponents = count_classes(counts, n)[0]
-            per_node = exponents.shape[1] * exponents.shape[2]
             grids = []
-            for entries in (2 * per_node, 3 * per_node, 7 * per_node, default):
-                monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
-                grids.append(error_probability_grid(counts, n, pf, pd))
+            for shared in (None, table):
+                per_node = _per_node(counts, n, shared)
+                for entries in (2 * per_node, 3 * per_node, 7 * per_node, default):
+                    monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
+                    grids.append(error_probability_grid(counts, n, pf, pd, table=shared))
+            monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", default)
             placement = canonicalize_placement(counts, n)
             for g in probes:
                 alone = error_probability_grid(counts, n, pf[g : g + 1], pd[g : g + 1])[0]
                 pair = error_probability_grid(counts, n, pf[[g, 7]], pd[[g, 7]])[0]
+                shared_alone = error_probability_grid(
+                    counts, n, pf[g : g + 1], pd[g : g + 1], table=table[:, g : g + 1]
+                )[0]
                 scalar = error_probability(placement, SensorModel(pd[g], pf[g]), n).value
                 assert all(grid[g] == alone for grid in grids), (counts, g)
-                assert pair == alone and scalar == alone, (counts, g)
+                assert pair == alone and scalar == alone and shared_alone == alone, (counts, g)
 
 
 def test_optimum_matches_region_map_cell():
@@ -371,23 +411,46 @@ def test_grid_rejects_malformed_nodes():
             error_probability_grid(counts, n, pf, pd)
 
 
-def test_grid_rejects_mismatched_power_table():
+def test_grid_rejects_mismatched_slice_table():
     counts, n = (2, 1), 3
     pf, pd = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7])
-    good = power_table(pf, pd, 3)
+    good = slice_table(pf, pd, 3)
     assert np.array_equal(
-        error_probability_grid(counts, n, pf, pd, powers=good),
+        error_probability_grid(counts, n, pf, pd, table=good),
         error_probability_grid(counts, n, pf, pd),
     )
     bad = [
-        good[:3],  # three tables
-        power_table(pf[:2], pd[:2], 3),  # too few columns
-        power_table(pf, pd, 2),  # stops below the largest exponent, 3
-        tuple(p[:, 0] for p in good),  # 1-D
+        slice_table(pf[:2], pd[:2], 3),  # too few nodes
+        slice_table(pf, pd, 2),  # built for another m
+        slice_table(pf, pd, 4),
+        good[:-1],  # a missing column
+        good[:, 0],  # 1-D
     ]
-    for powers in bad:
+    for table in bad:
         with pytest.raises(ValueError):
-            error_probability_grid(counts, n, pf, pd, powers=powers)
+            error_probability_grid(counts, n, pf, pd, table=table)
+
+
+def test_class_table_cached_read_only():
+    for m in range(1, 9):
+        used = set()
+        for counts in enumerate_partitions(m):
+            for n in (m, m + 2):
+                cached = class_table(counts, n)
+                assert class_table(counts, n) is cached
+                assert not any(array.flags.writeable for array in cached)
+                exponents, mult, weight = count_classes(counts, n)
+                assert np.array_equal(cached.mult, mult) and np.array_equal(cached.weight, weight)
+                # the column index names exactly the class table's exponents
+                assert np.array_equal(likelihood_columns(m)[:, cached.column], exponents)
+                assert np.array_equal(cached.distinct[cached.inverse], cached.column)
+                assert np.array_equal(cached.distinct, np.unique(cached.column))
+                used.update(cached.distinct.tolist())
+        # every column of m is used by some placement: no column is dead weight
+        assert used == set(range(math.comb(m + 3, 3)))
+    with pytest.raises(ValueError):
+        class_table((2, 1), 3).weight[0] = 0.0
+    assert not likelihood_columns(4).flags.writeable
 
 
 def test_rejects_more_sensors_than_points():
