@@ -263,9 +263,15 @@ class ClassTable(NamedTuple):
     inverse: np.ndarray
 
 
-@functools.lru_cache(maxsize=256)  # every placement of m <= 16 at one n
+@functools.cache
 def class_table(counts: tuple[int, ...], n: int) -> ClassTable:
-    """:class:`ClassTable` of ``counts`` over n points, built once per (counts, n)."""
+    """:class:`ClassTable` of ``counts`` over n points, built once per (counts, n).
+
+    Unbounded: a region map calls the kernel for every partition and point
+    count on every node slice, in a fixed cycle that a bounded cache
+    shorter than the cycle would miss on every call. Every placement of
+    m = 14 at two point counts holds 5.4 MiB, of m = 20 at one 78 MiB.
+    """
     exponents, mult, weight = count_classes(counts, n)
     m = sum(counts)
     a, b, c = exponents[:3]

@@ -27,6 +27,8 @@ from placedet import (
     verify_thm42,
 )
 from placedet.analysis import (
+    _nodes,
+    _partition_pes,
     full_partition_scale,
     grid_values,
     region_csv_text,
@@ -452,6 +454,34 @@ def test_kernel_peak_of_a_map_does_not_grow_with_nodes(monkeypatch):
             tracemalloc.stop()
     assert sizes == [3_600, 14_400]
     assert peaks[1] - peaks[0] < 64 * (sizes[1] - sizes[0]), peaks
+
+
+def test_map_walk_builds_each_class_table_once(monkeypatch):
+    # verify thm42 at m = 14 calls the kernel for 2 x 135 (n, partition)
+    # pairs on every 96-node slice, in a fixed cycle: each pair's count
+    # classes are built on the first slice only, however long the cycle.
+    m, n_values = 14, (15, 16)
+    parts = tuple(enumerate_partitions(m))
+    built = []
+
+    def counting(counts, n):
+        built.append((counts, n))
+        return count_classes(counts, n)
+
+    monkeypatch.setattr(detection, "count_classes", counting)
+    detection.class_table.cache_clear()
+    try:
+        axis = tuple(np.linspace(0.05, 0.95, 15))
+        _, _, pf, pd = _nodes(axis, axis, half_plane=False)
+        width = detection.slice_width(
+            detection.likelihood_columns(m).shape[1], max(map(class_count, parts))
+        )
+        assert width == 96 and pf.size > 2 * width
+        pes = _partition_pes(parts, n_values, pf, pd)
+    finally:
+        detection.class_table.cache_clear()
+    assert sorted(built) == sorted((counts, n) for n in n_values for counts in parts)
+    assert np.isfinite(pes).all()
 
 
 WINDOW_AXES = (tuple(0.46 + 0.01 * i for i in range(5)), tuple(0.5 + 0.01 * i for i in range(7)))
