@@ -20,20 +20,11 @@ import math
 import os
 import tempfile
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import (
-    argmin_with_ties,
-    class_count,
-    error_probability_grid,
-    likelihood_columns,
-    optimal_placements,
-    slice_table,
-    slice_width,
-)
+from .detection import argmin_with_ties, class_count, optimal_placements, partition_pes
 from .majorization import MajorizationVerdict, PlacementScale, chain_sort, compare, is_chain
 from .model import SensorModel
 from .partitions import enumerate_partitions
@@ -219,37 +210,8 @@ def _region_map(m, n, step, region, pf_values, pd_values, threads) -> RegionMap:
     """Evaluate every partition of m at the map's nodes and take the argmin."""
     _, _, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
     parts = tuple(enumerate_partitions(m))
-    pes = _partition_pes(parts, (n,), pf, pd, threads)[0]
+    pes = partition_pes(parts, (n,), pf, pd, threads)[0]
     return RegionMap.from_pes(m, n, step, region, pf_values, pd_values, parts, pes)
-
-
-def _partition_pes(parts, n_values, pf, pd, threads=1) -> np.ndarray:
-    """P_e of every partition of one m at each point count: (n_values, parts, nodes).
-
-    Node slices run in the outer loop, split over ``threads`` workers. Each
-    slice builds one :func:`~placedet.detection.slice_table`, which every
-    partition and point count reads, so no table spans the whole grid.
-    """
-    m = sum(parts[0])
-    pes = np.empty((len(n_values), len(parts), pf.size))
-    width = slice_width(likelihood_columns(m).shape[1], max(map(class_count, parts)))
-
-    def run(lo: int) -> None:
-        nodes = slice(lo, lo + width)
-        f, d = pf[nodes], pd[nodes]
-        table = slice_table(f, d, m)
-        for j, n in enumerate(n_values):
-            for i, counts in enumerate(parts):
-                pes[j, i, nodes] = error_probability_grid(counts, n, f, d, table=table)
-
-    starts = range(0, pf.size, width)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
-    return pes
 
 
 def region_csv_text(region_map: RegionMap) -> str:
@@ -411,8 +373,7 @@ def verify_thm41(m_max: int = 5, step: float = 0.02) -> VerificationReport:
     for m in range(2, m_max + 1):
         uniform = (1,) * m
         doubled = (2,) + (1,) * (m - 2)
-        pe_uni = error_probability_grid(uniform, m, pf, pd)
-        pe_two = error_probability_grid(doubled, m, pf, pd)
+        pe_uni, pe_two = partition_pes((uniform, doubled), (m,), pf, pd)[0]
         excess = pe_two - pe_uni
         checked += pf.size
         worst = max(worst, float(excess.max()))
@@ -443,7 +404,7 @@ def verify_thm42(m: int, n1: int, n2: int, step: float = 0.05) -> VerificationRe
     values = grid_values(step)
     _, _, pf, pd = _nodes(values, values, half_plane=False)
     parts = tuple(enumerate_partitions(m))
-    pe1, pe2 = _partition_pes(parts, (n1, n2), pf, pd)
+    pe1, pe2 = partition_pes(parts, (n1, n2), pf, pd)
     checked = 0
     worst = 0.0
     counterexamples = []

@@ -177,8 +177,11 @@ def _jsonable(value):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         analysis.write_atomic(out, text)
+    except OSError as exc:  # name the user's path, not write_atomic's temp file
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _emit_json(payload: dict, out: str | None) -> None:

@@ -12,13 +12,15 @@ interchangeable, so the sum runs over count classes (multisets of per-block
 alarm counts) weighted by their number of alarm vectors: M + 1 classes for
 the placement 1^M, at most 2^M. A likelihood depends only on the own-block
 count a, the false alarms c and the block size v, so all placements of M
-share C(M + 3, 3) columns (165 at M = 8). A region map builds one table of
-them per node slice (:func:`slice_table`) and every placement and point
-count reads it; a lone placement forms only its own distinct columns per
-slice. S adds the occupied rows once each and the shared empty-point row
-n - k times, then the classes, in a fixed order, so a node's P_e bits do
-not depend on the grid or window around it, the slice width, the table or
-the thread count: ``pe``, ``optimal`` and sweeps agree bit for bit.
+share C(M + 3, 3) columns (165 at M = 8). :func:`partition_pes` is the one
+evaluator: it checks the nodes once, cuts them into slices and builds one
+table of those columns per slice (:func:`slice_table`), which every
+placement and point count of the call reads. Region maps, the optimum
+search and a lone placement all go through it. S adds the occupied rows
+once each and the shared empty-point row n - k times, then the classes, in
+a fixed order, so a node's P_e bits do not depend on the grid or window
+around it, the slice width, the other placements or the thread count:
+``pe``, ``optimal`` and sweeps agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,15 +58,16 @@ instead of being broken by noise.
 MAX_SEARCH_M = 20  # each partition costs one term per count class; refuse beyond desk scale
 
 GRID_CHUNK_ENTRIES = 1 << 16
-"""Floats per likelihood table or (classes, nodes) block in :func:`error_probability_grid`.
+"""Floats per slice table or (classes, nodes) block in :func:`partition_pes`.
 
-A slice holds this many entries divided by the larger of its table's
-columns and the placement's classes (:func:`slice_width`); e.g. 397 nodes
-at a time for the 165-column :func:`slice_table` of m = 8, and 8192 for
-(3,) on 4 points. Its likelihood table and its per-row (classes, nodes)
-blocks each hold at most this many floats (512 KiB), whatever the grid
-size. Temporaries of this size stay in cache, which made M = 8 and small-M
-sweeps faster than one whole-grid slice.
+A slice holds this many entries divided by the larger of the table's
+columns and the most classes of any placement in the call
+(:func:`slice_width`); e.g. 397 nodes at a time for the 165-column
+:func:`slice_table` of m = 8, and 3,276 for (3,) alone, whose 20 columns
+outnumber its 4 classes. Its likelihood table and its per-row (classes,
+nodes) blocks each hold at most this many floats (512 KiB), whatever the
+grid size. Temporaries of this size stay in cache, which made M = 8 and
+small-M sweeps faster than one whole-grid slice.
 """
 
 MAP_TIE_RTOL = 1e-12
@@ -147,8 +151,49 @@ def error_probability(
 ) -> ErrorProbability:
     """Exact P_e of the MAP detector; requires m <= n."""
     n = placement.n if n is None else n
-    value = error_probability_grid(placement.counts, n, [model.p_f], [model.p_d])
-    return ErrorProbability(value=float(value[0]), placement=placement, model=model, n=n)
+    value = partition_pes((placement.counts,), (n,), [model.p_f], [model.p_d])[0, 0, 0]
+    return ErrorProbability(value=float(value), placement=placement, model=model, n=n)
+
+
+def partition_pes(parts, n_values, pf, pd, threads=1) -> np.ndarray:
+    """P_e of placements of one m at each point count: (n_values, parts, nodes).
+
+    ``parts`` are canonical count tuples of the same m, ``pf`` and ``pd``
+    equal-length 1-D arrays of values in [0, 1], and every n in
+    ``n_values`` at least m; all of this is checked once, before any table
+    is built. Node slices of :func:`slice_width` nodes run in the outer
+    loop, split over ``threads`` workers. Each slice builds one
+    :func:`slice_table`, which every placement and point count reads
+    through :func:`error_probability_grid`, so no table spans the whole grid.
+    """
+    m = sum(parts[0])
+    for n in n_values:
+        if m > n:
+            raise ValueError(f"m={m} sensors exceed n={n} points")
+    pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
+    if pf.ndim != 1 or pf.shape != pd.shape:
+        raise ValueError(f"pf and pd must be 1-D of equal length, got {pf.shape} and {pd.shape}")
+    if not (((0.0 <= pf) & (pf <= 1.0)).all() and ((0.0 <= pd) & (pd <= 1.0)).all()):
+        raise ValueError("pf and pd must be finite and in [0, 1]")  # NaN fails both bounds
+    pes = np.empty((len(n_values), len(parts), pf.size))
+    width = slice_width(likelihood_columns(m).shape[1], max(map(class_count, parts)))
+
+    def run(lo: int) -> None:
+        nodes = slice(lo, lo + width)
+        f, d = pf[nodes], pd[nodes]
+        table = slice_table(f, d, m)
+        for j, n in enumerate(n_values):
+            for i, counts in enumerate(parts):
+                pes[j, i, nodes] = error_probability_grid(counts, n, f, d, table=table)
+
+    starts = range(0, pf.size, width)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    else:
+        for lo in starts:
+            run(lo)
+    return pes
 
 
 def error_probability_grid(
@@ -162,48 +207,26 @@ def error_probability_grid(
     """Vectorized P_e for one canonical placement at many (p_f, p_d) points.
 
     ``pf`` and ``pd`` are equal-length 1-D arrays of values in [0, 1];
-    returns the matching P_e array. :func:`error_probability` is this kernel
-    at a single point. ``table`` is a :func:`slice_table` of the same nodes
-    and m = ``sum(counts)``, so that every placement of m and every point
-    count read one likelihood table. Without it, each node slice forms only
-    the placement's own distinct columns, from a power table of that slice.
-    Either way the kernel gathers the columns row by row into S and the
-    running max. Nodes go through in slices of :func:`slice_width` nodes,
-    so memory stays bounded. A node's value does not depend on the other
+    returns the matching P_e array. Without ``table`` this is
+    :func:`partition_pes` of the one placement, which checks the nodes and
+    n and walks them in slices. ``table`` is a :func:`slice_table` of the
+    same nodes and m = ``sum(counts)``, taken as one slice: only its shape
+    is checked, and the kernel gathers each row's columns from it into S
+    and the running max. A node's value does not depend on the other
     nodes, the slice width, the table or the thread count: alone it gets
     the same bits.
     """
-    m = sum(counts)
-    if m > n:
-        raise ValueError(f"m={m} sensors exceed n={n} points")
-    pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
-    if pf.ndim != 1 or pf.shape != pd.shape:
-        raise ValueError(f"pf and pd must be 1-D of equal length, got {pf.shape} and {pd.shape}")
-    if not (((0.0 <= pf) & (pf <= 1.0)).all() and ((0.0 <= pd) & (pd <= 1.0)).all()):
-        raise ValueError("pf and pd must be finite and in [0, 1]")  # NaN fails both bounds
-    classes = class_table(tuple(counts), n)
     if table is None:
-        columns = likelihood_columns(m)[:, classes.distinct]
-        top = int(columns.max())
-        inverse, entries = classes.inverse, columns.shape[1]
-    else:
-        if np.shape(table) != (likelihood_columns(m).shape[1], pf.size):
-            raise ValueError(f"table must be a slice_table of these {pf.size} nodes for m={m}")
-        inverse, entries = classes.column, len(table)
-    size = pf.size
-    out = np.empty(size)
-    width = slice_width(entries, classes.weight.size)
-    for lo in range(0, size, width):
-        hi = min(lo + width, size)
-        # numpy sums a one-node block pairwise and wider ones in order, so a
-        # lone node goes through as two copies of itself
-        nodes = slice(lo, hi) if hi - lo > 1 else [lo, lo]
-        if table is None:
-            part = likelihoods(columns, power_table(pf[nodes], pd[nodes], top))
-        else:
-            part = table[:, nodes]
-        out[lo:hi] = _weighted_gaps(part, inverse, classes.mult, classes.weight)[: hi - lo] / n
-    return out
+        return partition_pes((counts,), (n,), pf, pd)[0, 0]
+    size = np.size(pf)
+    if np.shape(table) != (likelihood_columns(sum(counts)).shape[1], size):
+        raise ValueError(f"table must be a slice_table of these {size} nodes for m={sum(counts)}")
+    classes = class_table(tuple(counts), n)
+    # numpy sums a one-node block pairwise and wider ones in order, so a
+    # lone node goes through as two copies of itself
+    if size == 1:
+        table = table[:, [0, 0]]
+    return _weighted_gaps(table, classes.column, classes.mult, classes.weight)[:size] / n
 
 
 def slice_width(entries: int, classes: int) -> int:
@@ -251,16 +274,13 @@ class ClassTable(NamedTuple):
     """The :func:`count_classes` table of a placement as read-only column indices.
 
     ``mult`` and ``weight`` are those of :func:`count_classes`; ``column``
-    (rows, classes) locates each likelihood in :func:`likelihood_columns`.
-    ``distinct`` lists the columns the placement uses and ``inverse``
-    (rows, classes) indexes into ``distinct``.
+    (rows, classes) locates each likelihood in :func:`likelihood_columns`,
+    so in a :func:`slice_table`.
     """
 
     mult: np.ndarray
     weight: np.ndarray
     column: np.ndarray
-    distinct: np.ndarray
-    inverse: np.ndarray
 
 
 @functools.cache
@@ -278,27 +298,24 @@ def class_table(counts: tuple[int, ...], n: int) -> ClassTable:
     v = a + b
     sizes = np.arange(m + 1)
     offset = np.concatenate([[0], np.cumsum((sizes + 1) * (m - sizes + 1))])  # columns before size v
-    column = offset[v] + a * (m - v + 1) + c
-    distinct, inverse = np.unique(column, return_inverse=True)
-    table = ClassTable(mult, weight, column, distinct, inverse.reshape(column.shape))
+    table = ClassTable(mult, weight, offset[v] + a * (m - v + 1) + c)
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def _weighted_gaps(table, inverse, mult, weight) -> np.ndarray:
+def _weighted_gaps(table, column, mult, weight) -> np.ndarray:
     """Sum over classes of weight x (S - max) for one node slice.
 
-    ``table`` holds likelihood columns x nodes (a placement's distinct
-    columns or a :func:`slice_table`) and ``inverse`` (rows, classes) the
-    column of each row and class. S adds the rows in order, each times its
-    ``mult`` (1, or n - k for the empty row); the (classes, nodes) arrays
-    die on return.
+    ``table`` is a :func:`slice_table` (likelihood columns x nodes) and
+    ``column`` (rows, classes) the column of each row and class. S adds the
+    rows in order, each times its ``mult`` (1, or n - k for the empty row);
+    the (classes, nodes) arrays die on return.
     """
-    s = table[inverse[0]]
+    s = table[column[0]]
     mx = s.copy()
-    for r in range(1, len(inverse)):
-        pmf = table[inverse[r]]
+    for r in range(1, len(column)):
+        pmf = table[column[r]]
         np.maximum(mx, pmf, out=mx)
         if mult[r] != 1.0:
             pmf *= mult[r]
@@ -375,7 +392,8 @@ def optimal_placements(m: int, n: int, model: SensorModel) -> Optimum:
     if m > MAX_SEARCH_M:
         raise ValueError(f"m={m} exceeds the exact-search bound {MAX_SEARCH_M}")
     candidates = [canonicalize_placement(counts, n) for counts in enumerate_partitions(m)]
-    pes = np.array([[error_probability(p, model, n).value] for p in candidates])
+    parts = tuple(p.counts for p in candidates)
+    pes = partition_pes(parts, (n,), [model.p_f], [model.p_d])[0]
     tie, pe_min, margin, strict = argmin_with_ties(pes)
     best = tuple(p for p, t in zip(candidates, tie[:, 0]) if t)
     return Optimum(best, float(pe_min[0]), float(margin[0]), bool(strict[0]))

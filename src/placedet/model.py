@@ -21,10 +21,10 @@ alarms in total, the alarm vector has likelihood
 product is formed, from the powers in a :func:`power_table`.
 :class:`PmfTable` (one column per alarm vector) hands it exponent tables
 built by :func:`block_exponents`; the count-class P_e kernel in
-:mod:`placedet.detection` hands it (a, b, c, d) columns, either one
-placement's distinct ones or all C(M + 3, 3) of M, which the placements of
-one region map share. Either way the powers cover one node slice only, and
-a node's powers do not depend on the other nodes of the table.
+:mod:`placedet.detection` hands it all C(M + 3, 3) (a, b, c, d) columns of
+M, which every placement and point count of a call shares. The powers
+cover one node slice only, and a node's powers do not depend on the other
+nodes of the table.
 """
 
 from __future__ import annotations

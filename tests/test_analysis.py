@@ -28,14 +28,14 @@ from placedet import (
 )
 from placedet.analysis import (
     _nodes,
-    _partition_pes,
+    _region_map,
     full_partition_scale,
     grid_values,
     region_csv_text,
     strict_onset,
 )
 from placedet import detection
-from placedet.detection import class_count, count_classes, error_probability_grid
+from placedet.detection import class_count, count_classes, error_probability_grid, partition_pes
 from placedet.partitions import enumerate_partitions
 
 
@@ -477,11 +477,27 @@ def test_map_walk_builds_each_class_table_once(monkeypatch):
             detection.likelihood_columns(m).shape[1], max(map(class_count, parts))
         )
         assert width == 96 and pf.size > 2 * width
-        pes = _partition_pes(parts, n_values, pf, pd)
+        pes = partition_pes(parts, n_values, pf, pd)
     finally:
         detection.class_table.cache_clear()
     assert sorted(built) == sorted((counts, n) for n in n_values for counts in parts)
     assert np.isfinite(pes).all()
+
+
+@pytest.mark.parametrize("m, n", [(8, 8), (8, 9), (9, 9), (9, 10)])
+def test_optimal_chain_holds_to_m8_and_breaks_at_m9(m, n):
+    # the first structural result past the paper's (7, 8) probe: at step
+    # 0.01 the strict optima form one majorization chain for m = 8, and at
+    # m = 9 two incomparable placements each win strictly somewhere
+    values = grid_values(0.01)
+    report = check_conjecture_chain(_region_map(m, n, 0.01, "pd_ge_pf", values, values, 1))
+    if m == 8:
+        assert report.passed and not report.counterexamples
+    else:
+        assert not report.passed
+        assert report.counterexamples == (
+            {"incomparable_strict_pair": ["3-2-1-1-1-1", "2-2-2-2-1"]},
+        )
 
 
 WINDOW_AXES = (tuple(0.46 + 0.01 * i for i in range(5)), tuple(0.5 + 0.01 * i for i in range(7)))

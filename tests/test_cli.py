@@ -108,6 +108,21 @@ def test_sweep_writes_csv_atomically(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_out_write_failure_is_one_line_naming_the_path(tmp_path, capsys):
+    # a missing directory fails before the temp file exists, a directory as
+    # the target after it is written beside it; neither leaves a file behind
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for out, reason in (
+        (tmp_path / "missing" / "map.csv", "No such file or directory"),
+        (taken, "Is a directory"),
+    ):
+        code, stdout, err = run(capsys, "partitions", "--m", "3", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write {out}: {reason}\n"
+        assert list(tmp_path.iterdir()) == [taken] and not list(taken.iterdir())
+
+
 def test_sweep_json_format(capsys):
     code, payload, _ = run_json(
         capsys, "sweep", "--m", "2", "--n", "2", "--step", "0.1",

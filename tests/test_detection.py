@@ -219,11 +219,9 @@ def test_count_class_table_shape():
     assert sum(count_classes(c, 8)[2].size for c in enumerate_partitions(8)) == 591
 
 
-def _per_node(counts, n, table=None):
-    """Floats per node of the kernel's larger slice array: its table, or its classes."""
-    classes = class_table(counts, n)
-    entries = classes.distinct.size if table is None else len(table)
-    return max(entries, classes.weight.size)
+def _per_node(counts, n):
+    """Floats per node of the kernel's larger slice array: its slice table, or its classes."""
+    return max(likelihood_columns(sum(counts)).shape[1], class_table(counts, n).weight.size)
 
 
 def test_grid_slices_match_one_slice(monkeypatch):
@@ -238,7 +236,7 @@ def test_grid_slices_match_one_slice(monkeypatch):
         # width 1 is raised to 2 nodes; 4 and 250 leave one node over (1001 = 4 * 250 + 1)
         for width in (1, 2, 3, 4, 7, 250):
             for shared in (None, table):
-                entries = width * _per_node(counts, n, shared)
+                entries = width * _per_node(counts, n)
                 monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
                 got = error_probability_grid(counts, n, pf, pd, table=shared)
                 assert np.array_equal(got, whole), (counts, width, shared is None)
@@ -259,7 +257,7 @@ def test_slice_width_follows_the_larger_array(monkeypatch):
 
     monkeypatch.setattr(detection, "_weighted_gaps", recording)
     pf = np.linspace(0.01, 0.5, 1000)
-    error_probability_grid((3, 2, 1, 1, 1), n, pf, pf + 0.3, table=slice_table(pf, pf + 0.3, m))
+    error_probability_grid((3, 2, 1, 1, 1), n, pf, pf + 0.3)
     assert widths == [397, 397, 206]
 
 
@@ -288,16 +286,16 @@ def _oracle_nodes(rng, size):
 
 
 def test_grid_kernel_bit_identical_to_full_table_oracle():
-    # The distinct-column kernel must reproduce the full (rows, classes,
-    # nodes) formulation exactly: one node (which numpy would sum pairwise),
-    # a small grid, and a default-width grid whose last slice holds one
-    # node; each with its own columns and with a shared slice table.
+    # The slice-table kernel must reproduce the full (rows, classes, nodes)
+    # formulation exactly: one node (which numpy would sum pairwise), a
+    # small grid, and a default-width grid whose last slice holds one node;
+    # each cut into slices by the kernel and read from one whole-grid table.
     rng = np.random.default_rng(23)
     for m in range(1, 9):
         for counts in enumerate_partitions(m):
             for n in (m, m + 2):
                 exponents, mult, weight = count_classes(counts, n)
-                width = detection.slice_width(class_table(counts, n).distinct.size, weight.size)
+                width = detection.slice_width(likelihood_columns(m).shape[1], weight.size)
                 for size in (1, 40, 2 * width + 1):
                     pf, pd = _oracle_nodes(rng, size)
                     expected = pe_grid_full_table(exponents, mult, weight, n, pf, pd)
@@ -333,7 +331,7 @@ def test_node_bits_do_not_depend_on_grid(monkeypatch):
             n = m + 1
             grids = []
             for shared in (None, table):
-                per_node = _per_node(counts, n, shared)
+                per_node = _per_node(counts, n)
                 for entries in (2 * per_node, 3 * per_node, 7 * per_node, default):
                     monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
                     grids.append(error_probability_grid(counts, n, pf, pd, table=shared))
@@ -395,20 +393,41 @@ def test_kernel_accuracy_against_exact_rationals():
                     assert error <= 2e-15, (counts, pf[g], pd[g], error)
 
 
+MALFORMED_NODES = (
+    (np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6])),  # unequal lengths
+    (np.full((2, 2), 0.1), np.full((2, 2), 0.6)),  # 2-D
+    (np.array(0.1), np.array(0.6)),  # 0-D
+    (np.array([1.5]), np.array([0.6])),  # above 1
+    (np.array([0.1]), np.array([-0.2])),  # below 0
+    (np.array([np.nan]), np.array([0.6])),
+    (np.array([0.1]), np.array([np.inf])),
+)
+
+
 def test_grid_rejects_malformed_nodes():
     counts, n = (2, 1), 3
-    cases = [
-        (np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6])),  # unequal lengths
-        (np.full((2, 2), 0.1), np.full((2, 2), 0.6)),  # 2-D
-        (np.array(0.1), np.array(0.6)),  # 0-D
-        (np.array([1.5]), np.array([0.6])),  # above 1
-        (np.array([0.1]), np.array([-0.2])),  # below 0
-        (np.array([np.nan]), np.array([0.6])),
-        (np.array([0.1]), np.array([np.inf])),
-    ]
-    for pf, pd in cases:
+    for pf, pd in MALFORMED_NODES:
         with pytest.raises(ValueError):
             error_probability_grid(counts, n, pf, pd)
+
+
+def test_partition_pes_checks_before_building_a_table(monkeypatch):
+    # malformed nodes and any point count below m are refused once per
+    # call, before the first slice table
+    def no_table(*args):
+        raise AssertionError("slice_table called")
+
+    monkeypatch.setattr(detection, "slice_table", no_table)
+    parts = tuple(enumerate_partitions(3))
+    for pf, pd in MALFORMED_NODES:
+        with pytest.raises(ValueError, match="pf and pd"):
+            detection.partition_pes(parts, (3, 4), pf, pd)
+    pf, pd = np.array([0.1, 0.2]), np.array([0.5, 0.6])
+    for n_values in ((2,), (4, 2), (3, 5, 1)):
+        with pytest.raises(ValueError, match="exceed"):
+            detection.partition_pes(parts, n_values, pf, pd)
+    with pytest.raises(AssertionError, match="slice_table called"):
+        detection.partition_pes(parts, (3, 4), pf, pd)
 
 
 def test_grid_rejects_mismatched_slice_table():
@@ -443,9 +462,7 @@ def test_class_table_cached_read_only():
                 assert np.array_equal(cached.mult, mult) and np.array_equal(cached.weight, weight)
                 # the column index names exactly the class table's exponents
                 assert np.array_equal(likelihood_columns(m)[:, cached.column], exponents)
-                assert np.array_equal(cached.distinct[cached.inverse], cached.column)
-                assert np.array_equal(cached.distinct, np.unique(cached.column))
-                used.update(cached.distinct.tolist())
+                used.update(np.unique(cached.column).tolist())
         # every column of m is used by some placement: no column is dead weight
         assert used == set(range(math.comb(m + 3, 3)))
     with pytest.raises(ValueError):
