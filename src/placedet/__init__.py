@@ -7,7 +7,6 @@ count invariance, and their breakdown beyond five sensors) numerically.
 """
 
 from .analysis import (
-    BudgetError,
     M4RegionVerdict,
     RegionCell,
     RegionMap,
@@ -25,6 +24,7 @@ from .analysis import (
 )
 from .detection import (
     TIE_EPS,
+    BudgetError,
     ErrorProbability,
     Optimum,
     closed_form_pe2,
@@ -50,11 +50,7 @@ from .model import (
     observation_index,
 )
 from .montecarlo import SimResult, simulate
-from .partitions import (
-    PartitionSet,
-    enumerate_partitions,
-    partition_count,
-)
+from .partitions import enumerate_partitions, partition_count
 
 __all__ = [
     "BudgetError",
@@ -63,7 +59,6 @@ __all__ = [
     "MajorizationVerdict",
     "ObservationIndex",
     "Optimum",
-    "PartitionSet",
     "Placement",
     "PlacementScale",
     "PmfTable",

@@ -24,23 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import argmin_with_ties, class_count, optimal_placements, partition_pes
+from .detection import BudgetError, argmin_with_ties, optimal_placements, partition_pes
 from .majorization import MajorizationVerdict, PlacementScale, chain_sort, compare, is_chain
 from .model import SensorModel
 from .partitions import enumerate_partitions
 
 STEP_MIN = 1e-3
 STEP_MAX = 0.1
-SWEEP_MAX_M = 8
 
 THM41_TOL = 1e-12
 THM42_TOL = 1e-10
 
 Counts = tuple[int, ...]
-
-
-class BudgetError(RuntimeError):
-    """Raised instead of silently running an oversized sweep."""
 
 
 @dataclass(frozen=True)
@@ -165,20 +160,12 @@ def sweep_plane(
     results live on) or ``full`` (whole square, e.g. to exercise the
     bit-flip symmetry). Deterministic: node order, partition order and the
     tie rule are all fixed, so repeated runs emit identical CSV bytes.
+    A map whose work exceeds ``detection.WORK_BUDGET`` raises
+    :class:`BudgetError` before any table is built.
     """
     if region not in ("pd_ge_pf", "full"):
         raise ValueError(f"unknown region {region!r}")
     values = grid_values(step)
-    if m > SWEEP_MAX_M:
-        side = len(values)
-        nodes = side * (side + 1) // 2 if region == "pd_ge_pf" else side * side
-        terms = sum(
-            (len(p) + (n > len(p))) * class_count(p) for p in enumerate_partitions(m)
-        )
-        raise BudgetError(
-            f"sweep refused: m={m} > {SWEEP_MAX_M} would cost ~{nodes * terms:.2e} "
-            "pmf evaluations; lower m or call error_probability_grid directly"
-        )
     return _region_map(m, n, step, region, values, values, threads)
 
 
@@ -209,7 +196,7 @@ def _nodes(pf_values, pd_values, half_plane: bool):
 def _region_map(m, n, step, region, pf_values, pd_values, threads) -> RegionMap:
     """Evaluate every partition of m at the map's nodes and take the argmin."""
     _, _, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
-    parts = tuple(enumerate_partitions(m))
+    parts = enumerate_partitions(m)
     pes = partition_pes(parts, (n,), pf, pd, threads)[0]
     return RegionMap.from_pes(m, n, step, region, pf_values, pd_values, parts, pes)
 
@@ -403,7 +390,7 @@ def verify_thm42(m: int, n1: int, n2: int, step: float = 0.05) -> VerificationRe
         raise ValueError(f"require m < n1 < n2, got {m}, {n1}, {n2}")
     values = grid_values(step)
     _, _, pf, pd = _nodes(values, values, half_plane=False)
-    parts = tuple(enumerate_partitions(m))
+    parts = enumerate_partitions(m)
     pe1, pe2 = partition_pes(parts, (n1, n2), pf, pd)
     checked = 0
     worst = 0.0
@@ -532,7 +519,7 @@ def full_partition_scale(m: int) -> PlacementScale:
     The first incomparable pairs appear at m = 6 ((4,1,1) vs (3,3)), which is
     exactly why the monotonicity result stops there.
     """
-    parts = tuple(enumerate_partitions(m))
+    parts = enumerate_partitions(m)
     ok, pair = is_chain(parts)
     if not ok:
         raise ValueError(f"partitions of {m} are not totally ordered: {pair}")

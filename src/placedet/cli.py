@@ -19,10 +19,10 @@ import os
 import sys
 
 from . import analysis, montecarlo
-from .detection import MAX_SEARCH_M, error_probability, optimal_placements
+from .detection import BudgetError, error_probability, optimal_placements
 from .majorization import MajorizationVerdict, compare
 from .model import SensorModel, canonicalize_placement
-from .partitions import enumerate_partitions
+from .partitions import MAX_M, enumerate_partitions
 
 SCHEMA_VERSION = "1"
 
@@ -148,8 +148,8 @@ def validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if tie_rule is not None:
         ns["tie_rule"] = {"uniform": "uniform_random", "lowest": "lowest_index"}[tie_rule]
     target = ns.get("target")
-    if sub == "verify" and target == "thm41" and not 2 <= ns["max_m"] <= MAX_SEARCH_M:
-        parser.error(f"--max-m must be in 2..{MAX_SEARCH_M}, got {ns['max_m']}")
+    if sub == "verify" and target == "thm41" and not 2 <= ns["max_m"] <= MAX_M:
+        parser.error(f"--max-m must be in 2..{MAX_M}, got {ns['max_m']}")
     if sub == "verify" and target == "thm42":
         if ns.get("m") is None or ns.get("n1") is None or ns.get("n2") is None:
             parser.error("verify thm42 requires --m, --n1 and --n2")
@@ -328,7 +328,7 @@ _VERDICT_CODES = {
 
 
 def _majorize_csv(m: int) -> str:
-    parts = list(enumerate_partitions(m))
+    parts = enumerate_partitions(m)
     labels = ["-".join(map(str, p)) for p in parts]
     lines = ["placement," + ",".join(labels)]
     for p, label in zip(parts, labels):
@@ -343,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     validate(parser, args)
     try:
         return dispatch(args)
-    except analysis.BudgetError as exc:
+    except BudgetError as exc:
         print(f"refused: {_one_line(exc)}", file=sys.stderr)
         return 2
     except ValueError as exc:

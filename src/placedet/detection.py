@@ -16,7 +16,10 @@ share C(M + 3, 3) columns (165 at M = 8). :func:`partition_pes` is the one
 evaluator: it checks the nodes once, cuts them into slices and builds one
 table of those columns per slice (:func:`slice_table`), which every
 placement and point count of the call reads. Region maps, the optimum
-search and a lone placement all go through it. S adds the occupied rows
+search and a lone placement all go through it, so it is also the one gate:
+before any table it refuses placements of more than
+``partitions.MAX_M`` sensors and calls whose work exceeds
+:data:`WORK_BUDGET` (:class:`BudgetError`). S adds the occupied rows
 once each and the shared empty-point row n - k times, then the classes, in
 a fixed order, so a node's P_e bits do not depend on the grid or window
 around it, the slice width, the other placements or the thread count:
@@ -44,7 +47,7 @@ from .model import (
     likelihoods,
     power_table,
 )
-from .partitions import enumerate_partitions
+from .partitions import MAX_M, enumerate_partitions
 
 TIE_EPS = 1e-9
 """Absolute P_e gap below which placements are reported as tied.
@@ -55,7 +58,15 @@ this; genuine region boundaries are exact tie loci and must surface as ties
 instead of being broken by noise.
 """
 
-MAX_SEARCH_M = 20  # each partition costs one term per count class; refuse beyond desk scale
+WORK_BUDGET = 3_200_000_000
+"""Most work one :func:`partition_pes` call may take on.
+
+Work is nodes x (C(m + 3, 3) + rows x count classes summed over placements
+and point counts): each node's slice-table columns plus the entries the
+kernel gathers. It admits ``sweep --m 8 --n 9 --step 0.001 --region full``
+(3.09e9, about 11 s and 490 MiB) and refuses ``verify thm42 --m 20 --n1 21
+--n2 22`` (3.42e9).
+"""
 
 GRID_CHUNK_ENTRIES = 1 << 16
 """Floats per slice table or (classes, nodes) block in :func:`partition_pes`.
@@ -77,6 +88,10 @@ Likelihoods of hypotheses that tie analytically (e.g. at p_d = p_f) are
 computed through different multiplication orders and can differ by a few ulp;
 this tolerance re-unites them without ever bridging genuine gaps.
 """
+
+
+class BudgetError(RuntimeError):
+    """Raised instead of starting a computation larger than the budget."""
 
 
 @dataclass(frozen=True)
@@ -158,10 +173,11 @@ def error_probability(
 def partition_pes(parts, n_values, pf, pd, threads=1) -> np.ndarray:
     """P_e of placements of one m at each point count: (n_values, parts, nodes).
 
-    ``parts`` are canonical count tuples of the same m, ``pf`` and ``pd``
-    equal-length 1-D arrays of values in [0, 1], and every n in
-    ``n_values`` at least m; all of this is checked once, before any table
-    is built. Node slices of :func:`slice_width` nodes run in the outer
+    ``parts`` are canonical count tuples of the same m, at most ``MAX_M``,
+    ``pf`` and ``pd`` equal-length 1-D arrays of values in [0, 1], every n
+    in ``n_values`` at least m, and the call's work within
+    :data:`WORK_BUDGET`; all of this is checked once, before any table is
+    built. Node slices of :func:`slice_width` nodes run in the outer
     loop, split over ``threads`` workers. Each slice builds one
     :func:`slice_table`, which every placement and point count reads
     through :func:`error_probability_grid`, so no table spans the whole grid.
@@ -175,8 +191,19 @@ def partition_pes(parts, n_values, pf, pd, threads=1) -> np.ndarray:
         raise ValueError(f"pf and pd must be 1-D of equal length, got {pf.shape} and {pd.shape}")
     if not (((0.0 <= pf) & (pf <= 1.0)).all() and ((0.0 <= pd) & (pd <= 1.0)).all()):
         raise ValueError("pf and pd must be finite and in [0, 1]")  # NaN fails both bounds
+    if m > MAX_M:
+        raise ValueError(f"m={m} sensors exceed the sensor bound {MAX_M}")
+    columns, classes = math.comb(m + 3, 3), [class_count(p) for p in parts]
+    terms = columns + sum(
+        (len(p) + (n > len(p))) * c for n in n_values for p, c in zip(parts, classes)
+    )
+    if pf.size * terms > WORK_BUDGET:
+        raise BudgetError(
+            f"work {pf.size * terms:,} exceeds the budget {WORK_BUDGET:,}: "
+            f"{pf.size:,} nodes x {terms:,} likelihood columns and row x class terms"
+        )
     pes = np.empty((len(n_values), len(parts), pf.size))
-    width = slice_width(likelihood_columns(m).shape[1], max(map(class_count, parts)))
+    width = slice_width(columns, max(classes))
 
     def run(lo: int) -> None:
         nodes = slice(lo, lo + width)
@@ -389,8 +416,6 @@ def optimal_placements(m: int, n: int, model: SensorModel) -> Optimum:
     """
     if not 1 <= m <= n:
         raise ValueError(f"require 1 <= m <= n, got m={m}, n={n}")
-    if m > MAX_SEARCH_M:
-        raise ValueError(f"m={m} exceeds the exact-search bound {MAX_SEARCH_M}")
     candidates = [canonicalize_placement(counts, n) for counts in enumerate_partitions(m)]
     parts = tuple(p.counts for p in candidates)
     pes = partition_pes(parts, (n,), [model.p_f], [model.p_d])[0]

@@ -41,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import MAX_SEARCH_M, map_decide
+from .detection import map_decide
 from .model import Placement, PmfTable, SensorModel
+from .partitions import MAX_M
 
 CHUNK_TRIALS = 1 << 16
 DRAW_BLOCK_ENTRIES = 1 << 15  # uniforms per row block: 256 KiB, L2-sized
@@ -76,8 +77,9 @@ def simulate(
     position, m uniforms compared against its threshold row, the packed
     observation index and a table lookup. The counts depend only on
     (placement, model, n, trials, seed, tie_rule), not on ``threads``.
-    Placements of more than ``detection.MAX_SEARCH_M`` sensors are refused
-    before any table is built, since the decision table has 2^m rows.
+    The decision table has 2^m x n entries, so it may hold no more than at
+    ``partitions.MAX_M`` sensors on MAX_M + 1 points; a larger (m, n) is
+    refused before any table is built.
     """
     n = placement.n if n is None else n
     if trials < 1:
@@ -85,10 +87,10 @@ def simulate(
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
     m = placement.m
-    if m > MAX_SEARCH_M:
+    if (1 << m) * n > (1 << MAX_M) * (MAX_M + 1):
         raise ValueError(
-            f"m={m} exceeds the simulation bound {MAX_SEARCH_M}: "
-            "the decision table has 2^m rows"
+            f"m={m}, n={n} exceeds the simulation bound: the decision table has "
+            f"2^m x n entries, at most 2^{MAX_M} x {MAX_M + 1}"
         )
     tie_table, tie_len = _decision_tables(placement, model, n)
     thresholds = _alarm_thresholds(placement, model, n)

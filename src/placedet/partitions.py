@@ -8,24 +8,12 @@ argmin tie-breaking downstream depend on it being stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-MAX_M = 40  # exact P_e sums over each partition's count classes; keep enumeration desk-scale
-
-
-@dataclass(frozen=True)
-class PartitionSet:
-    """All partitions of ``m`` in reverse-lexicographic order."""
-
-    m: int
-    items: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.items)
+MAX_M = 20
+"""The one sensor bound: :func:`enumerate_partitions` (627 placements at 20)
+and ``detection.partition_pes`` refuse more sensors, and the Monte Carlo
+decision table may hold no more than 2^MAX_M x (MAX_M + 1) entries."""
 
 
 def _partitions_desc(m: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -37,17 +25,16 @@ def _partitions_desc(m: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_partitions(m: int) -> PartitionSet:
+def enumerate_partitions(m: int) -> tuple[tuple[int, ...], ...]:
     """All non-increasing positive tuples summing to m, largest-first order.
 
     E.g. m=4 gives (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
     """
     if not 1 <= m <= MAX_M:
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
-    return PartitionSet(m=m, items=tuple(_partitions_desc(m, m)))
+    return tuple(_partitions_desc(m, m))
 
 
 def partition_count(m: int) -> int:
     """Number of partitions of m (the partition function)."""
     return len(enumerate_partitions(m))
-

@@ -55,7 +55,7 @@ def criterion(number: int, name: str, budget_s: float | None):
 def test_criterion_01_partition_facts():
     with criterion(1, "partition-facts", 1.0):
         four = enumerate_partitions(4)
-        assert four.items == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+        assert four == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
         assert partition_count(4) == 5
         expected = pentagonal_partition_counts(12)
         for m in range(1, 13):

@@ -1,6 +1,7 @@
 """Plane sweeps, closed-form regions, and structural verifiers."""
 
 import json
+import math
 import re
 import tracemalloc
 
@@ -17,6 +18,7 @@ from placedet import (
     check_monotone_on_scale,
     error_probability,
     canonicalize_placement,
+    optimal_placements,
     region_predicate_m4,
     sweep_plane,
     sweep_window,
@@ -51,14 +53,27 @@ def test_grid_values_cover_open_interval():
 
 
 def test_sweep_budget_refusal_names_cost():
-    # rows x count classes per partition, at each of the 99 * 100 / 2 half-plane nodes
-    terms = 0
-    for p in enumerate_partitions(9):
-        exponents, _, weight = count_classes(p, 9)
+    # slice-table columns plus rows x count classes per partition, at each of
+    # the 199 * 200 / 2 half-plane nodes
+    terms = math.comb(16 + 3, 3)
+    for p in enumerate_partitions(16):
+        exponents, _, weight = count_classes(p, 17)
         terms += exponents.shape[1] * weight.size
-    cost = f"~{99 * 100 // 2 * terms:.2e} pmf evaluations"
+    cost = f"work {199 * 200 // 2 * terms:,} exceeds the budget {detection.WORK_BUDGET:,}"
     with pytest.raises(BudgetError, match=re.escape(cost)):
-        sweep_plane(9, 9, 0.01)
+        sweep_plane(16, 17, 0.005)
+
+
+def test_m9_map_matches_optimal_search():
+    # maps past m = 8 are admitted by the work budget; a map node and the
+    # scalar search agree bit for bit
+    region_map = sweep_plane(9, 10, 0.05)
+    strict = np.nonzero(region_map.strict)[0]
+    for g in (strict[0], strict[-1], np.nonzero(~region_map.strict)[0][0]):
+        cell = region_map.cells[int(g)]
+        opt = optimal_placements(9, 10, SensorModel(p_d=cell.p_d, p_f=cell.p_f))
+        assert [p.counts for p in opt.best] == list(cell.best)
+        assert (opt.pe_min, opt.margin) == (cell.pe_min, cell.margin)
 
 
 def test_sweep_three_sensors_three_points():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import placedet
+from placedet import cli, detection, montecarlo
 from placedet.cli import main
 
 
@@ -134,11 +135,43 @@ def test_sweep_json_format(capsys):
 
 
 def test_sweep_budget_refusal(capsys):
-    code, out, err = run(capsys, "sweep", "--m", "9", "--n", "9", "--step", "0.05")
+    code, out, err = run(capsys, "sweep", "--m", "16", "--n", "17", "--step", "0.005")
     assert code == 2
     assert "refused" in err
+    code, _, _ = run(capsys, "sweep", "--m", "9", "--n", "9", "--step", "0.05")
+    assert code == 0
     code, _, _ = run(capsys, "sweep", "--m", "3", "--n", "3", "--step", "0.0001")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pe", "--n", "78", "--pd", "0.7", "--pf", "0.3",
+         "--placement", "12-11-10-9-8-7-6-5-4-3-2-1"),
+        ("verify", "thm42", "--m", "21", "--n1", "22", "--n2", "23"),
+        ("majorize", "--m", "21"),
+        ("simulate", "--n", "1000000000", "--pd", "0.7", "--pf", "0.3",
+         "--placement", "1", "--trials", "10"),
+    ],
+)
+def test_refusals_come_before_any_table(monkeypatch, capsys, argv):
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built")
+
+    for module, name in (
+        (detection, "slice_table"),
+        (detection, "class_table"),
+        (detection, "count_classes"),
+        (montecarlo, "_decision_tables"),
+        (montecarlo, "_alarm_thresholds"),
+        (cli, "compare"),
+    ):
+        monkeypatch.setattr(module, name, no_table)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(("error: ", "refused: ")) and err.count("\n") == 1
+    assert "table built" not in err
 
 
 def test_simulate_subcommand(capsys):

@@ -430,6 +430,32 @@ def test_partition_pes_checks_before_building_a_table(monkeypatch):
         detection.partition_pes(parts, (3, 4), pf, pd)
 
 
+def test_partition_pes_refuses_sensors_and_work_before_tables(monkeypatch):
+    # work = nodes x (C(m + 3, 3) + rows x count classes per placement and n)
+    parts, n_values = enumerate_partitions(4), (4, 6)
+    pf, pd = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7])
+    terms = math.comb(4 + 3, 3)
+    for n in n_values:
+        for counts in parts:
+            exponents, _, weight = count_classes(counts, n)
+            terms += exponents.shape[1] * weight.size
+    work = pf.size * terms
+    monkeypatch.setattr(detection, "WORK_BUDGET", work)
+    assert detection.partition_pes(parts, n_values, pf, pd).shape == (2, 5, 3)
+
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    for name in ("slice_table", "class_table", "count_classes"):
+        monkeypatch.setattr(detection, name, no_table)
+    monkeypatch.setattr(detection, "WORK_BUDGET", work - 1)
+    quoted = f"work {work:,} exceeds the budget {work - 1:,}"
+    with pytest.raises(detection.BudgetError, match=quoted):
+        detection.partition_pes(parts, n_values, pf, pd)
+    with pytest.raises(ValueError, match="sensor bound 20"):
+        detection.partition_pes(((21,),), (21,), [0.1], [0.5])
+
+
 def test_grid_rejects_mismatched_slice_table():
     counts, n = (2, 1), 3
     pf, pd = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7])

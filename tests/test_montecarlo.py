@@ -15,8 +15,8 @@ from placedet import (
     simulate,
 )
 from placedet import montecarlo
-from placedet.detection import MAX_SEARCH_M
 from placedet.montecarlo import _alarm_buffer, _decision_tables, _pack_alarms
+from placedet.partitions import MAX_M
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -79,9 +79,28 @@ def test_refuses_too_many_sensors_before_building_tables(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_decision_tables", no_tables)
     model = SensorModel(p_d=0.7, p_f=0.2)
-    placement = canonicalize_placement([MAX_SEARCH_M + 1], n=MAX_SEARCH_M + 1)
+    placement = canonicalize_placement([MAX_M + 1], n=MAX_M + 1)
     with pytest.raises(ValueError, match="exceeds"):
         simulate(placement, model, trials=10, seed=1)
+
+
+def test_decision_table_bound_edges(monkeypatch):
+    # the 2^m x n table may hold as many entries as at MAX_M sensors on MAX_M + 1 points
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(montecarlo, "_decision_tables", admitted)
+    model = SensorModel(p_d=0.7, p_f=0.2)
+    edge = (1 << MAX_M) * (MAX_M + 1)
+    for counts, n in (([MAX_M], MAX_M + 1), ([1], edge // 2)):
+        with pytest.raises(Admitted):
+            simulate(canonicalize_placement(counts, n=n), model, n=n, trials=10)
+    for counts, n in (([MAX_M], MAX_M + 2), ([1], edge // 2 + 1)):
+        with pytest.raises(ValueError, match="exceeds"):
+            simulate(canonicalize_placement(counts, n=n), model, n=n, trials=10)
 
 
 def test_matches_exact_value_two_sensors():

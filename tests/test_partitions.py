@@ -12,7 +12,7 @@ from oracles import pentagonal_partition_counts
 
 
 def test_partitions_of_four_exact_list():
-    assert enumerate_partitions(4).items == (
+    assert enumerate_partitions(4) == (
         (4,),
         (3, 1),
         (2, 2),
@@ -23,7 +23,7 @@ def test_partitions_of_four_exact_list():
 
 
 def test_partitions_of_one():
-    assert enumerate_partitions(1).items == ((1,),)
+    assert enumerate_partitions(1) == ((1,),)
 
 
 def test_count_seven():
@@ -42,7 +42,7 @@ def test_counts_match_pentagonal_recurrence():
 
 def test_reverse_lexicographic_order():
     for m in (5, 8, 11):
-        items = enumerate_partitions(m).items
+        items = enumerate_partitions(m)
         assert list(items) == sorted(items, reverse=True)
         assert items[0] == (m,)
         assert items[-1] == (1,) * m
@@ -50,7 +50,7 @@ def test_reverse_lexicographic_order():
 
 def test_no_duplicates_and_sums():
     for m in range(1, 15):
-        items = enumerate_partitions(m).items
+        items = enumerate_partitions(m)
         assert len(set(items)) == len(items)
         assert all(sum(p) == m for p in items)
         assert all(all(a >= b for a, b in zip(p, p[1:])) for p in items)
@@ -65,6 +65,8 @@ def test_roundtrip_through_canonicalize():
 def test_bounds():
     with pytest.raises(ValueError):
         enumerate_partitions(0)
+    with pytest.raises(ValueError):
+        enumerate_partitions(21)
     with pytest.raises(ValueError):
         enumerate_partitions(41)
 
