@@ -330,10 +330,16 @@ _VERDICT_CODES = {
 def _majorize_csv(m: int) -> str:
     parts = enumerate_partitions(m)
     labels = ["-".join(map(str, p)) for p in parts]
+    # each unordered pair is decided once: compare(q, p) is compare(p, q) flipped
+    codes = [["E"] * len(parts) for _ in parts]
+    for i, p in enumerate(parts):
+        for j in range(i + 1, len(parts)):
+            verdict = compare(p, parts[j])
+            codes[i][j] = _VERDICT_CODES[verdict]
+            codes[j][i] = _VERDICT_CODES[verdict.flipped()]
     lines = ["placement," + ",".join(labels)]
-    for p, label in zip(parts, labels):
-        codes = [_VERDICT_CODES[compare(p, q)] for q in parts]
-        lines.append(label + "," + ",".join(codes))
+    for label, row in zip(labels, codes):
+        lines.append(label + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -13,24 +13,38 @@ process the chunks. Chunk i's generator is seeded with
 ``SeedSequence(seed, spawn_key=(i,))``, the same child that
 ``SeedSequence(seed).spawn(...)[i]`` gives, built only when the chunk runs.
 
-The draw loop of a chunk works as follows:
+Before any chunk runs, ``simulate`` builds its tables once: the decision
+table (the argmax set of every observation, padded to n columns, with the
+size of each set), and a threshold table of shape (n + 1, m) that holds in
+row x the alarm probability of every sensor when the intruder is at x (p_d
+on x's block, p_f elsewhere), so a trial's alarms are ``u < thresholds[x]``.
 
-* a threshold table of shape (n + 1, m), built once per ``simulate``, holds
-  in row x the alarm probability of every sensor when the intruder is at x
-  (p_d on x's block, p_f elsewhere), so a trial's alarms are
-  ``u < thresholds[x]``;
-* the comparison writes each row of alarms into the last m columns of a
-  bool buffer whose width is m rounded up to 8, 16, 32 or 64 bits, with the
-  leading columns left False; ``np.packbits`` over the flat buffer, read as
-  big-endian unsigned integers of that width, gives each row's observation
-  index with y_1 most significant, as in ``model.observation_index``;
-* the uniforms ``u`` are drawn in row blocks of about ``DRAW_BLOCK_ENTRIES``
-  values so the temporaries stay in cache.
+Each worker allocates its buffers once and reuses them for every chunk of
+its stripe: a (rows, m) block of uniforms and one of thresholds, a bool
+alarm buffer, a chunk-length array of packed observations, and block-length
+integer, float and bool scratch. Per block the loop allocates only the
+packed bytes that ``np.packbits`` returns, one byte per 8 alarm columns;
+per chunk, only the positions. A chunk then runs in three steps:
+
+* draw the positions x, one per trial;
+* for each row block of about ``DRAW_BLOCK_ENTRIES`` uniforms: draw the
+  uniforms into the block with ``rng.random(out=...)``, gather the threshold
+  rows of the block's positions with ``np.take``, and compare into the last m
+  columns of the alarm buffer, whose width is m rounded up to 8, 16, 32 or 64
+  bits with the leading columns left False; ``np.packbits`` over the flat
+  buffer, read as big-endian unsigned integers of that width, gives each
+  row's observation index with y_1 most significant, as in
+  ``model.observation_index``, and is stored into the chunk's array;
+* after all alarm blocks, for each block again: with ``uniform_random``, draw
+  the block's tie uniforms and pick a tie by the flat index obs * n + pick
+  into the decision table; with ``lowest_index``, look up the first tie of
+  each observation. Count the decisions that miss x.
 
 ``Generator.random`` consumes one 64-bit output per double, in order, so the
-row blocks read the same stream as one (chunk size, m) draw. The positions are
-drawn before the blocks and the tie draws after them, so every chunk makes
-the same draws, in the same order, as a single unblocked draw would.
+uniform blocks read the same stream as one (chunk size, m) draw, and the tie
+blocks the same as one draw of chunk size. The positions come first, then the
+uniform blocks, then the tie blocks, so every chunk makes the same draws, in
+the same order, as a single unblocked draw of each would.
 """
 
 from __future__ import annotations
@@ -75,7 +89,10 @@ def simulate(
     exact pmf, and so is the (n + 1, m) table of per-sensor alarm
     probabilities for each intruder position. Each trial then only needs a
     position, m uniforms compared against its threshold row, the packed
-    observation index and a table lookup. The counts depend only on
+    observation index and a table lookup. Each worker reuses one set of
+    buffers for every block of every chunk it runs; the tie uniforms of a
+    chunk are drawn block by block after all its alarm blocks, which reads
+    the same stream as one draw. The counts depend only on
     (placement, model, n, trials, seed, tie_rule), not on ``threads``.
     The decision table has 2^m x n entries, so it may hold no more than at
     ``partitions.MAX_M`` sensors on MAX_M + 1 points; a larger (m, n) is
@@ -93,36 +110,57 @@ def simulate(
             f"2^m x n entries, at most 2^{MAX_M} x {MAX_M + 1}"
         )
     tie_table, tie_len = _decision_tables(placement, model, n)
+    # 1-D lookups: the first tie by observation, any tie by obs * n + pick
+    first_tie = np.ascontiguousarray(tie_table[:, 0])
+    flat_ties = tie_table.ravel()
     thresholds = _alarm_thresholds(placement, model, n)
     block_rows = max(1, DRAW_BLOCK_ENTRIES // m)
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-
-    def run_chunk(i: int) -> int:
-        size = min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        x = rng.integers(1, n + 1, size=size, dtype=np.int64)
-        obs = np.empty(size, dtype=np.int64)
-        buffer = _alarm_buffer(min(block_rows, size), m)
-        alarms = buffer[:, -m:]
-        for lo in range(0, size, block_rows):
-            hi = min(lo + block_rows, size)
-            u = rng.random((hi - lo, m))
-            np.less(u, thresholds[x[lo:hi]], out=alarms[: hi - lo])
-            obs[lo:hi] = _pack_alarms(buffer[: hi - lo])
-        if tie_rule == "uniform_random":
-            lens = tie_len[obs]
-            # the product can round up to lens when r is within an ulp of 1
-            pick = np.minimum((rng.random(size) * lens).astype(np.int64), lens - 1)
-        else:
-            pick = np.zeros(size, dtype=np.int64)
-        decision = tie_table[obs, pick]
-        return int((decision != x).sum())
-
     workers = max(1, min(threads, n_chunks))
 
     def run_stripe(first: int) -> int:
-        # one task per worker, so a huge chunk count queues no futures
-        return sum(run_chunk(i) for i in range(first, n_chunks, workers))
+        # one task per worker, so a huge chunk count queues no futures; every
+        # chunk of the stripe reuses the worker's buffers below
+        rows = min(block_rows, CHUNK_TRIALS, trials)
+        buffer = _alarm_buffer(rows, m)
+        u, thr = np.empty((rows, m)), np.empty((rows, m))
+        obs = np.empty(min(CHUNK_TRIALS, trials), dtype=_packed_dtype(buffer))
+        index, pick, lens = (np.empty(rows, dtype=np.int64) for _ in range(3))
+        r, miss = np.empty(rows), np.empty(rows, dtype=bool)
+        errors = 0
+        for i in range(first, n_chunks, workers):
+            size = min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            x = rng.integers(1, n + 1, size=size, dtype=np.int64)
+            blocks = [(lo, min(lo + rows, size)) for lo in range(0, size, rows)]
+            # every np.take below uses mode="clip", which writes straight into
+            # out (the indices are in range); the default "raise" buffers a copy
+            for lo, hi in blocks:
+                b = hi - lo
+                rng.random(out=u[:b])
+                np.take(thresholds, x[lo:hi], axis=0, out=thr[:b], mode="clip")
+                np.less(u[:b], thr[:b], out=buffer[:b, -m:])
+                obs[lo:hi] = _pack_alarms(buffer[:b])
+            for lo, hi in blocks:
+                b = hi - lo
+                np.copyto(index[:b], obs[lo:hi])
+                if tie_rule == "uniform_random":
+                    np.take(tie_len, index[:b], out=lens[:b], mode="clip")
+                    rng.random(out=r[:b])
+                    np.multiply(r[:b], lens[:b], out=r[:b])
+                    np.copyto(pick[:b], r[:b], casting="unsafe")  # truncates, as astype
+                    # the product can round up to lens when r is within an ulp of 1
+                    np.subtract(lens[:b], 1, out=lens[:b])
+                    np.minimum(pick[:b], lens[:b], out=pick[:b])
+                    np.multiply(index[:b], n, out=index[:b])
+                    np.add(index[:b], pick[:b], out=index[:b])
+                    np.take(flat_ties, index[:b], out=pick[:b], mode="clip")
+                else:
+                    np.take(first_tie, index[:b], out=pick[:b], mode="clip")
+                np.not_equal(pick[:b], x[lo:hi], out=miss[:b])
+                errors += int(np.count_nonzero(miss[:b]))
+            del x  # so the next chunk's positions do not coexist with these
+        return errors
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -162,10 +200,19 @@ def _alarm_buffer(rows: int, m: int) -> np.ndarray:
     return np.zeros((rows, width), dtype=bool)
 
 
+def _packed_dtype(buffer: np.ndarray) -> np.dtype:
+    """Big-endian unsigned integer as wide as a row of an ``_alarm_buffer``."""
+    return np.dtype(f">u{buffer.shape[1] // 8}")
+
+
 def _pack_alarms(buffer: np.ndarray) -> np.ndarray:
-    """Observation index of each row of an ``_alarm_buffer``, y_1 most significant."""
+    """Observation index of each row of an ``_alarm_buffer``, y_1 most significant.
+
+    The indices come back in ``_packed_dtype(buffer)``, a view of the packed
+    bytes, so storing them into an array of that dtype copies no more.
+    """
     packed = np.packbits(buffer)  # flat and big-endian: one byte per 8 columns
-    return packed.view(f">u{buffer.shape[1] // 8}").astype(np.int64)
+    return packed.view(_packed_dtype(buffer))
 
 
 def _decision_tables(placement: Placement, model: SensorModel, n: int):

@@ -59,6 +59,48 @@ def pmf_from_positions(bits, j: int, positions, pd: float, pf: float) -> float:
     return prob
 
 
+def simulate_errors_unblocked(
+    counts, n: int, pd: float, pf: float, trials: int, seed: int,
+    tie_rule: str, chunk_trials: int, rtol: float,
+) -> int:
+    """Monte Carlo error count of the MAP rule, drawn one whole chunk at a time.
+
+    Makes the draws of ``montecarlo.simulate`` in their documented order:
+    chunk i's generator is seeded with ``SeedSequence(seed, spawn_key=(i,))``
+    and draws the positions, then one unblocked (size, m) uniform array, then
+    (``uniform_random`` only) one tie uniform per trial. Alarm bits become an
+    observation index by a dot product with powers of two, not by packing.
+    Each observation's argmax set comes from ``pmf_from_positions`` over
+    every point, ties collected within the relative tolerance ``rtol``, and
+    is cached per observation, not tabulated over all 2^m.
+    """
+    positions = positions_from_counts(counts)
+    m = len(positions)
+    sensor_at = np.array(positions)
+    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+    decisions: dict[int, list[int]] = {}
+    errors = 0
+    for i, lo in enumerate(range(0, trials, chunk_trials)):
+        size = min(chunk_trials, trials - lo)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        x = rng.integers(1, n + 1, size=size, dtype=np.int64)
+        u = rng.random((size, m))
+        alarm_p = np.where(sensor_at[None, :] == x[:, None], pd, pf)
+        obs = ((u < alarm_p).astype(np.int64) @ weights).tolist()
+        r = rng.random(size).tolist() if tie_rule == "uniform_random" else [0.0] * size
+        for x_t, y, r_t in zip(x.tolist(), obs, r):
+            ties = decisions.get(y)
+            if ties is None:
+                bits = bits_from_index(y, m)
+                rows = [pmf_from_positions(bits, j, positions, pd, pf) for j in range(1, n + 1)]
+                mx = max(rows)
+                ties = [j for j, row in enumerate(rows, start=1) if row >= mx - abs(mx) * rtol]
+                decisions[y] = ties
+            pick = min(int(r_t * len(ties)), len(ties) - 1)
+            errors += ties[pick] != x_t
+    return errors
+
+
 def pe_from_positions(positions, n: int, pd: float, pf: float) -> float:
     """Error probability via the raw leave-one-out minimum, O(2^m * n^2)."""
     m = len(positions)

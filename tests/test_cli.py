@@ -91,6 +91,25 @@ def test_majorize_matrix(capsys):
     assert lines[-1] == "1-1-1-1,B,B,B,B,E"
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_majorize_matrix_decides_each_pair_once(monkeypatch, m):
+    # the matrix equals the one built by comparing every ordered pair
+    parts = placedet.enumerate_partitions(m)
+    all_pairs = ["placement," + ",".join("-".join(map(str, p)) for p in parts)]
+    for p in parts:
+        row = [cli._VERDICT_CODES[placedet.compare(p, q)] for q in parts]
+        all_pairs.append("-".join(map(str, p)) + "," + ",".join(row))
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return placedet.compare(p, q)
+
+    monkeypatch.setattr(cli, "compare", counted)
+    assert cli._majorize_csv(m) == "\n".join(all_pairs) + "\n"
+    assert len(calls) == len(parts) * (len(parts) - 1) // 2
+
+
 def test_sweep_writes_csv_atomically(tmp_path, capsys):
     out = tmp_path / "map.csv"
     code, stdout, _ = run(

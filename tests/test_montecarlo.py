@@ -1,9 +1,11 @@
 """Monte Carlo estimator: agreement with the exact evaluator and determinism."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import simulate_errors_unblocked
 
 from placedet import (
     SensorModel,
@@ -15,7 +17,8 @@ from placedet import (
     simulate,
 )
 from placedet import montecarlo
-from placedet.montecarlo import _alarm_buffer, _decision_tables, _pack_alarms
+from placedet.detection import MAP_TIE_RTOL
+from placedet.montecarlo import CHUNK_TRIALS, _alarm_buffer, _decision_tables, _pack_alarms
 from placedet.partitions import MAX_M
 
 
@@ -40,6 +43,78 @@ def test_golden_error_counts(counts, n, p_d, p_f, trials, tie_rule, errors, thre
     assert result.errors == errors
 
 
+# (counts, n) per m: m = 8 fills a byte, 9 and 17 cross one
+_ORACLE_PLACEMENTS = {1: ((1,), 3), 8: ((3, 2, 2, 1), 9), 9: ((3, 2, 2, 1, 1), 10),
+                      17: ((5, 4, 3, 3, 2), 18)}
+# (m, p_d, p_f): informative models, the corners with p in {0, 1} and the
+# p_d = p_f diagonal; at m = 17 false alarms stay rare so that few distinct
+# observations need an oracle decision
+_ORACLE_MODELS = [
+    (1, 0.7, 0.2), (1, 1.0, 0.0), (1, 0.0, 0.0), (1, 0.4, 0.4),
+    (8, 0.8, 0.15), (8, 0.0, 1.0), (8, 0.5, 0.5),
+    (9, 0.7, 0.2), (9, 1.0, 1.0), (9, 0.3, 0.3),
+    (17, 0.9, 0.02), (17, 0.03, 0.03),
+]
+
+
+@pytest.fixture(scope="module")
+def shared_decision_tables():
+    """``_decision_tables`` built once per (placement, model, n) in this module.
+
+    The m = 17 table takes over a second to build, and each oracle case
+    calls ``simulate`` twelve times on the same inputs.
+    """
+    tables = {}
+
+    def build(placement, model, n):
+        key = (placement, model, n)
+        if key not in tables:
+            tables[key] = _decision_tables(placement, model, n)
+        return tables[key]
+
+    return build
+
+
+@pytest.mark.parametrize("tie_rule", ["uniform_random", "lowest_index"])
+@pytest.mark.parametrize("m, p_d, p_f", _ORACLE_MODELS)
+def test_counts_match_unblocked_oracle(
+    monkeypatch, shared_decision_tables, m, p_d, p_f, tie_rule
+):
+    # the blocked loop makes the draws of one unblocked draw per chunk, and
+    # its table lookups decide as the per-observation likelihood argmax does
+    monkeypatch.setattr(montecarlo, "_decision_tables", shared_decision_tables)
+    counts, n = _ORACLE_PLACEMENTS[m]
+    placement = canonicalize_placement(counts, n=n)
+    model = SensorModel(p_d=p_d, p_f=p_f)
+    block_rows = max(1, montecarlo.DRAW_BLOCK_ENTRIES // m)
+    for trials in (1, block_rows - 1, block_rows + 1, CHUNK_TRIALS + 5):
+        seed = 1000 * m + trials
+        expected = simulate_errors_unblocked(
+            counts, n, p_d, p_f, trials, seed, tie_rule, CHUNK_TRIALS, MAP_TIE_RTOL
+        )
+        for threads in (1, 2, 3):
+            result = simulate(
+                placement, model, trials=trials, seed=seed, tie_rule=tie_rule,
+                threads=threads,
+            )
+            assert result.errors == expected, (trials, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_draw_loop_memory_is_bounded_per_worker(threads):
+    # the per-worker buffers take about 1.4 MiB at m = 9; a loop that
+    # allocates its temporaries per block or per chunk peaks above 2 MiB
+    placement = canonicalize_placement((3, 2, 2, 1, 1), n=10)
+    model = SensorModel(p_d=0.7, p_f=0.2)
+    tracemalloc.start()
+    try:
+        simulate(placement, model, trials=1_000_000, seed=5, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= threads * 2 * 2**20
+
+
 @pytest.mark.parametrize("block_entries", [1, 37, 1 << 30])
 def test_draw_block_size_does_not_change_counts(monkeypatch, block_entries):
     placement = canonicalize_placement([3, 2, 1], n=7)
@@ -58,7 +133,7 @@ def test_pack_alarms_matches_observation_index(m):
     assert buffer.shape[1] in (8, 16, 32, 64) and m <= buffer.shape[1] < max(2 * m, 9)
     buffer[:, -m:] = bits
     packed = _pack_alarms(buffer)
-    assert packed.dtype == np.int64
+    assert packed.dtype == np.dtype(f">u{buffer.shape[1] // 8}")
     assert packed.tolist() == [observation_index(row.tolist()) for row in bits]
     assert packed[-2] == 0 and packed[-1] == (1 << m) - 1
 
