@@ -7,13 +7,11 @@ count invariance, and their breakdown beyond five sensors) numerically.
 """
 
 from .analysis import (
-    M4RegionVerdict,
     RegionCell,
     RegionMap,
     VerificationReport,
     check_conjecture_chain,
     check_monotone_on_scale,
-    region_predicate_m4,
     sweep_plane,
     sweep_window,
     verify_cor41,
@@ -27,7 +25,6 @@ from .detection import (
     BudgetError,
     ErrorProbability,
     Optimum,
-    closed_form_pe2,
     error_probability,
     error_probability_grid,
     map_decide,
@@ -46,7 +43,6 @@ from .model import (
     PmfTable,
     SensorModel,
     canonicalize_placement,
-    flip_model,
     observation_index,
 )
 from .montecarlo import SimResult, simulate
@@ -55,7 +51,6 @@ from .partitions import enumerate_partitions, partition_count
 __all__ = [
     "BudgetError",
     "ErrorProbability",
-    "M4RegionVerdict",
     "MajorizationVerdict",
     "ObservationIndex",
     "Optimum",
@@ -72,18 +67,15 @@ __all__ = [
     "chain_sort",
     "check_conjecture_chain",
     "check_monotone_on_scale",
-    "closed_form_pe2",
     "compare",
     "enumerate_partitions",
     "error_probability",
     "error_probability_grid",
-    "flip_model",
     "is_chain",
     "map_decide",
     "observation_index",
     "optimal_placements",
     "partition_count",
-    "region_predicate_m4",
     "simulate",
     "sweep_plane",
     "sweep_window",

@@ -1,4 +1,4 @@
-"""(p_f, p_d)-plane sweeps, closed-form M=4 regions, and structural verifiers.
+"""(p_f, p_d)-plane sweeps, region maps, and structural verifiers.
 
 A region map evaluates the brute-force optimum at every node of a regular
 grid over the unit square (by default restricted to the p_d >= p_f half where
@@ -235,83 +235,6 @@ def write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-# ---------------------------------------------------------------------------
-# Closed-form optimality regions for four sensors on four points
-# ---------------------------------------------------------------------------
-
-M4_PLACEMENTS: tuple[Counts, ...] = ((4,), (3, 1), (2, 2), (2, 1, 1))
-
-
-@dataclass(frozen=True)
-class M4RegionVerdict:
-    """Outcome of the closed-form region test at one point.
-
-    ``placement`` is set when exactly one region expression fires; otherwise
-    the point sits on (or numerically indistinguishable from) a boundary
-    curve and ``ambiguous`` is set instead of guessing.
-    """
-
-    placement: Counts | None
-    fired: tuple[Counts, ...]
-
-    @property
-    def ambiguous(self) -> bool:
-        return self.placement is None
-
-
-def _m4_fired_grid(pf: np.ndarray, pd: np.ndarray) -> np.ndarray:
-    """Boolean (4, G) array: which closed-form region holds at each point.
-
-    The four expressions are polynomial inequalities in (p_f, p_d) that tile
-    the p_d > p_f half-plane; shared boundary curves may satisfy zero or two
-    of them, which callers must treat as boundary hits.
-    """
-    f, d = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
-    poly4 = (d - f) * (
-        -(d + f) * (d**2 + f**2) + (d**2 + d * f + f**2) + (1.0 - f**3)
-    )
-    e4 = poly4 < 0.0
-
-    gap31 = 2.0 * (d**2 - f**2) - (d - f) - (d**3 - f**3) - d * f**2 * (d - f)
-    cube_lt = d**3 * (1.0 - d) < f**3 * (1.0 - f)
-    cube_ge = d**3 * (1.0 - d) >= f**3 * (1.0 - f)
-    sq_lt = d**2 * (1.0 - d) < f**2 * (1.0 - f)
-    corner_gt = (d + f - 1.0) ** 2 > d * f * (1.0 - f)
-    corner_le = (d + f - 1.0) ** 2 <= d * f * (1.0 - f)
-    e31 = ((poly4 >= 0.0) & (gap31 < 0.0) & cube_lt) | (corner_gt & cube_ge & sq_lt)
-
-    sym22 = (d**2 - f**2) * (2.0 - d**2 - 2.0 * f**2) >= 0.0
-    gap22 = (
-        2.0 * (d - f)
-        + 2.0 * f**3 * (1.0 - f)
-        - d * f**2 * (1.0 - f)
-        - d * f**2 * (1.0 - d)
-        - (d**2 - f**2)
-        - f * (d - f)
-    )
-    e22 = (sym22 & (gap31 >= 0.0) & (gap22 <= 0.0) & cube_lt) | (
-        (2.0 * (1.0 - f) < d) & corner_le & cube_ge
-    )
-
-    e21 = 2.0 * (1.0 - f) >= d
-    return np.stack([e4, e31, e22, e21])
-
-
-def region_predicate_m4(p_f: float, p_d: float) -> M4RegionVerdict:
-    """Closed-form optimal placement for m = n = 4 at one (p_f, p_d) point.
-
-    Evaluates the four printed region inequalities verbatim; requires
-    p_d >= p_f. Exactly one firing expression names the optimum; zero or
-    several mark a boundary point.
-    """
-    if p_d < p_f:
-        raise ValueError(f"regions are defined for p_d >= p_f, got ({p_f}, {p_d})")
-    fired_mask = _m4_fired_grid(np.array([p_f]), np.array([p_d]))[:, 0]
-    fired = tuple(M4_PLACEMENTS[i] for i in np.nonzero(fired_mask)[0])
-    placement = fired[0] if len(fired) == 1 else None
-    return M4RegionVerdict(placement=placement, fired=fired)
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +588,3 @@ def check_conjecture_chain(region_map: RegionMap) -> VerificationReport:
             "strict_set": ["-".join(map(str, p)) for p in strict],
         },
     )
-
-
-def strict_onset(region_map: RegionMap, counts: Counts) -> tuple[float | None, float | None]:
-    """(last p_d row before ``counts`` first wins strictly, first row where it does).
-
-    Scanning rows bottom-up; (None, None) when the placement never wins, and
-    a None first element when it already wins on the lowest row.
-    """
-    rm = region_map
-    if counts not in rm.partitions:
-        return None, None
-    wins = rm.strict & (rm.winner == rm.partitions.index(counts))
-    if not wins.any():
-        return None, None
-    rows, first_node = np.unique(rm.i_d, return_index=True)
-    k = int(np.searchsorted(rows, rm.i_d[wins].min()))
-    row_pd = rm.pd[first_node]
-    return (float(row_pd[k - 1]) if k > 0 else None), float(row_pd[k])

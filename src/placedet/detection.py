@@ -42,10 +42,10 @@ from .model import (
     Placement,
     PmfTable,
     SensorModel,
-    block_exponents,
+    block_columns,
     canonicalize_placement,
-    likelihoods,
-    power_table,
+    likelihood_columns,
+    slice_table,
 )
 from .partitions import MAX_M, enumerate_partitions
 
@@ -119,34 +119,6 @@ class Optimum:
     pe_min: float
     margin: float
     strict: bool
-
-
-def count_classes(counts: tuple[int, ...], n: int):
-    """``(exponents, mult, weight)`` of the count classes of ``counts`` over n points.
-
-    ``exponents`` (4, rows, classes) holds the powers of p_d, 1-p_d, p_f and
-    1-p_f in each row's likelihood of each class; rows are the blocks of
-    ``counts`` in order, then the shared empty row when n > k. ``mult`` is the
-    hypotheses per row, ``weight`` the alarm vectors per class (sum 2^m).
-    """
-    k = len(counts)
-    # per run of g equal blocks of size v: every multiset of own-block alarm
-    # counts, weighted by its arrangements times prod C(v, a)
-    runs = []
-    for v, blocks in itertools.groupby(counts):
-        g = len(list(blocks))
-        runs.append([
-            (alarms, math.factorial(g)
-             // math.prod(math.factorial(alarms.count(a)) for a in set(alarms))
-             * math.prod(math.comb(v, a) for a in alarms))
-            for alarms in itertools.combinations_with_replacement(range(v + 1), g)
-        ])
-    combos = list(itertools.product(*runs))
-    a = np.array([[x for alarms, _ in c for x in alarms] for c in combos], dtype=np.intp).T
-    exponents = block_exponents(a, counts, n)
-    mult = np.where(np.arange(exponents.shape[1]) < k, 1.0, n - k)
-    weight = np.array([math.prod(w for _, w in c) for c in combos], dtype=float)
-    return exponents, mult, weight
 
 
 def class_count(counts: tuple[int, ...]) -> int:
@@ -265,44 +237,14 @@ def slice_width(entries: int, classes: int) -> int:
     return max(2, GRID_CHUNK_ENTRIES // max(entries, classes))
 
 
-@functools.cache
-def likelihood_columns(m: int) -> np.ndarray:
-    """(4, C(m + 3, 3)) exponents (a, b, c, d) of every likelihood column of m sensors.
-
-    A column is fixed by the block size v, the block's alarms a and the false
-    alarms c (b = v - a, d = m - v - c). Columns run v, then a, then c
-    ascending, so (a, c, v) sits at ``offset(v) + a * (m - v + 1) + c``
-    (:func:`class_table`). Read-only.
-    """
-    columns = np.array(
-        [
-            (a, v - a, c, m - v - c)
-            for v in range(m + 1)
-            for a in range(v + 1)
-            for c in range(m - v + 1)
-        ],
-        dtype=np.intp,
-    ).T
-    columns.flags.writeable = False
-    return columns
-
-
-def slice_table(pf, pd, m: int) -> np.ndarray:
-    """Every likelihood column of m sensors at each node: (C(m + 3, 3), nodes).
-
-    One table serves every placement of m and every point count n through
-    ``error_probability_grid(..., table=...)``; e.g. 165 columns at m = 8,
-    against 1,101 distinct columns over the 22 placements on 9 points.
-    """
-    return likelihoods(likelihood_columns(m), power_table(pf, pd, m))
-
-
 class ClassTable(NamedTuple):
-    """The :func:`count_classes` table of a placement as read-only column indices.
+    """The count classes of a placement over n points, as read-only arrays.
 
-    ``mult`` and ``weight`` are those of :func:`count_classes`; ``column``
-    (rows, classes) locates each likelihood in :func:`likelihood_columns`,
-    so in a :func:`slice_table`.
+    ``column`` (rows, classes) names the likelihood of each row and class
+    as a :func:`likelihood_columns` column, so a row of a
+    :func:`slice_table`; rows are the blocks in order, then the shared
+    empty row when n > k. ``mult`` is the hypotheses per row (1, or n - k
+    for the empty row), ``weight`` the alarm vectors per class (sum 2^m).
     """
 
     mult: np.ndarray
@@ -319,13 +261,24 @@ def class_table(counts: tuple[int, ...], n: int) -> ClassTable:
     shorter than the cycle would miss on every call. Every placement of
     m = 14 at two point counts holds 5.4 MiB, of m = 20 at one 78 MiB.
     """
-    exponents, mult, weight = count_classes(counts, n)
-    m = sum(counts)
-    a, b, c = exponents[:3]
-    v = a + b
-    sizes = np.arange(m + 1)
-    offset = np.concatenate([[0], np.cumsum((sizes + 1) * (m - sizes + 1))])  # columns before size v
-    table = ClassTable(mult, weight, offset[v] + a * (m - v + 1) + c)
+    # per run of g equal blocks of size v: every multiset of own-block alarm
+    # counts, weighted by its arrangements times prod C(v, a)
+    runs = []
+    for v, blocks in itertools.groupby(counts):
+        g = len(list(blocks))
+        runs.append([
+            (alarms, math.factorial(g)
+             // math.prod(math.factorial(alarms.count(a)) for a in set(alarms))
+             * math.prod(math.comb(v, a) for a in alarms))
+            for alarms in itertools.combinations_with_replacement(range(v + 1), g)
+        ])
+    combos = list(itertools.product(*runs))
+    a = np.array([[x for alarms, _ in c for x in alarms] for c in combos], dtype=np.intp).T
+    column = block_columns(a, counts, n)
+    k = len(counts)
+    mult = np.where(np.arange(len(column)) < k, 1.0, n - k)
+    weight = np.array([math.prod(w for _, w in c) for c in combos], dtype=float)
+    table = ClassTable(mult, weight, column)
     for array in table:
         array.flags.writeable = False
     return table
@@ -380,31 +333,6 @@ def map_decide(
     top = column >= mx - abs(mx) * MAP_TIE_RTOL
     k = placement.k
     return frozenset(j for j in range(1, n + 1) if top[j - 1 if j <= k else k])
-
-
-def closed_form_pe2(placement: Placement, model: SensorModel) -> float:
-    """Independent closed-form P_e for the two-sensor, two-point cases.
-
-    Term-by-term transcription of the explicit four-observation minima for
-    the placements (1,1) and (2); valid on the whole (p_f, p_d) unit square.
-    Used as an oracle against :func:`error_probability`.
-    """
-    if placement.m != 2 or placement.n != 2:
-        raise ValueError("closed form covers m = n = 2 only")
-    pd, pf = model.p_d, model.p_f
-    if placement.counts == (1, 1):
-        return 0.5 * (
-            (1.0 - pd) * (1.0 - pf)
-            + pd * pf
-            + 2.0 * min(pf - pd * pf, pd - pd * pf)
-        )
-    if placement.counts == (2,):
-        return 0.5 * (
-            min((1.0 - pd) ** 2, (1.0 - pf) ** 2)
-            + min(pd**2, pf**2)
-            + 2.0 * min(pd * (1.0 - pd), pf * (1.0 - pf))
-        )
-    raise ValueError(f"unexpected placement {placement.counts} for m=n=2")
 
 
 def optimal_placements(m: int, n: int, model: SensorModel) -> Optimum:

@@ -15,20 +15,21 @@ first v_1 bits belong to point 1, the next v_2 to point 2, and so on.
 With the intruder at point j, holding v sensors of which a alarm, and s
 alarms in total, the alarm vector has likelihood
 
-    p_j(y) = p_d^a (1-p_d)^(v-a) p_f^(s-a) (1-p_f)^(M-s-(v-a))
+    p_j(y) = p_d^a (1-p_d)^(v-a) p_f^c (1-p_f)^(M-v-c),  c = s - a
 
-(an empty point has v = a = 0). :func:`likelihoods` is the one place this
-product is formed, from the powers in a :func:`power_table`.
-:class:`PmfTable` (one column per alarm vector) hands it exponent tables
-built by :func:`block_exponents`; the count-class P_e kernel in
-:mod:`placedet.detection` hands it all C(M + 3, 3) (a, b, c, d) columns of
-M, which every placement and point count of a call shares. The powers
-cover one node slice only, and a node's powers do not depend on the other
-nodes of the table.
+(an empty point has v = a = 0). So a likelihood is one column (v, a, c) of
+:func:`likelihood_columns`, and :func:`slice_table` is the one place the
+product is formed: every column at each node, from the powers in a
+:func:`power_table`. :func:`block_columns` names the column of each row of
+a placement; :class:`PmfTable` (one column per alarm vector) and the
+count-class P_e kernel in :mod:`placedet.detection` both gather their
+likelihoods from a slice table through it. The powers cover one node slice
+only, and a node's powers do not depend on the other nodes of the table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,16 +50,6 @@ class SensorModel:
             raise ValueError(f"p_d must be in [0, 1], got {self.p_d}")
         if not (0.0 <= self.p_f <= 1.0):
             raise ValueError(f"p_f must be in [0, 1], got {self.p_f}")
-
-
-def flip_model(model: SensorModel) -> SensorModel:
-    """Complementary model (1-p_d, 1-p_f).
-
-    Inverting every alarm bit turns a detector for ``model`` into a detector
-    for the flipped model, so the error probability is invariant under this
-    map. It reduces the p_d < p_f half-plane to the p_d >= p_f half.
-    """
-    return SensorModel(1.0 - model.p_d, 1.0 - model.p_f)
 
 
 @dataclass(frozen=True)
@@ -130,29 +121,12 @@ def observation_index(bits: Iterable[int]) -> ObservationIndex:
     return y
 
 
-def block_exponents(alarms: np.ndarray, counts: Sequence[int], n: int) -> np.ndarray:
-    """(4, rows, cols) exponents of p_d, 1-p_d, p_f and 1-p_f in p_j(y).
-
-    ``alarms`` (k, cols) holds the own-block alarm count of each occupied
-    point in each column (an alarm vector or a count class). Rows are the
-    blocks of ``counts`` in order, then the shared empty row when n > k.
-    The table keeps the dtype of ``alarms``.
-    """
-    k = len(counts)
-    s = alarms.sum(axis=0, dtype=alarms.dtype)
-    v = np.array(counts, dtype=alarms.dtype)[:, None]
-    if n > k:  # the empty row: no own block, every alarm is a false alarm
-        alarms = np.vstack([alarms, np.zeros_like(alarms[:1])])
-        v = np.vstack([v, np.zeros_like(v[:1])])
-    return np.stack([alarms, v - alarms, s - alarms, sum(counts) - s - (v - alarms)])
-
-
 def power_table(pf, pd, top) -> tuple[np.ndarray, ...]:
     """Powers 0..top of p_d, 1-p_d, p_f and 1-p_f: four (top + 1, nodes) arrays.
 
     ``pf`` and ``pd`` are equal-length 1-D arrays of (p_f, p_d) nodes.
     0^0 = 1, so deterministic sensors (p_d, p_f in {0, 1}) give exact 0/1
-    entries instead of NaN. Each exponent row is one 1-D ``np.power`` of the
+    entries instead of NaN. Each power row is one 1-D ``np.power`` of the
     stacked bases by a scalar, so a node's entries do not depend on the other
     nodes (a broadcast ``p[None, :] ** ks`` rounds some by array length).
     """
@@ -164,15 +138,59 @@ def power_table(pf, pd, top) -> tuple[np.ndarray, ...]:
     return tuple(table[:, i] for i in range(4))
 
 
-def likelihoods(exponents: np.ndarray, powers: Sequence[np.ndarray]) -> np.ndarray:
-    """p_d^a (1-p_d)^b p_f^c (1-p_f)^d for each (a, b, c, d) column of ``exponents``.
+@functools.cache
+def likelihood_columns(m: int) -> np.ndarray:
+    """(4, C(m + 3, 3)) exponents (a, b, c, d) of every likelihood column of m sensors.
 
-    ``exponents`` is a (4, rows, cols) or (4, cols) integer table and
-    ``powers`` a :func:`power_table` that reaches its largest entry. Returns
-    (rows, cols, nodes) or (cols, nodes).
+    A column is fixed by the block size v, the block's alarms a and the false
+    alarms c (b = v - a, d = m - v - c). Columns run v, then a, then c
+    ascending, so (a, c, v) sits at ``offset(v) + a * (m - v + 1) + c``
+    (:func:`block_columns`). Read-only.
     """
-    a, b, c, d = powers
-    return a[exponents[0]] * b[exponents[1]] * c[exponents[2]] * d[exponents[3]]
+    columns = np.array(
+        [
+            (a, v - a, c, m - v - c)
+            for v in range(m + 1)
+            for a in range(v + 1)
+            for c in range(m - v + 1)
+        ],
+        dtype=np.intp,
+    ).T
+    columns.flags.writeable = False
+    return columns
+
+
+def slice_table(pf, pd, m: int) -> np.ndarray:
+    """Every likelihood column of m sensors at each node: (C(m + 3, 3), nodes).
+
+    p_d^a (1-p_d)^b p_f^c (1-p_f)^d for each (a, b, c, d) of
+    :func:`likelihood_columns`. One table serves every placement of m and
+    every point count n; e.g. 165 columns at m = 8, against 1,101 distinct
+    columns over the 22 placements on 9 points.
+    """
+    a, b, c, d = power_table(pf, pd, m)
+    e = likelihood_columns(m)
+    return a[e[0]] * b[e[1]] * c[e[2]] * d[e[3]]
+
+
+def block_columns(alarms: np.ndarray, counts: Sequence[int], n: int) -> np.ndarray:
+    """(rows, cols) column of :func:`likelihood_columns` of each row's likelihood.
+
+    ``alarms`` (k, cols) holds the own-block alarm count of each occupied
+    point in each column (an alarm vector or a count class). Rows are the
+    blocks of ``counts`` in order, then the shared empty row (v = a = 0,
+    every alarm false) when n > k. The indices take the dtype of ``alarms``,
+    widened if needed to hold every column of m = ``sum(counts)``.
+    """
+    m, k = sum(counts), len(counts)
+    dtype = np.promote_types(alarms.dtype, np.min_scalar_type(-likelihood_columns(m).shape[1]))
+    a = alarms.astype(dtype, copy=False)
+    s = a.sum(axis=0, dtype=dtype)
+    v = np.array(counts, dtype=dtype)[:, None]
+    sizes = np.arange(m + 1)
+    offset = np.concatenate([[0], np.cumsum((sizes + 1) * (m - sizes + 1))])  # columns before size v
+    rows = offset.astype(dtype)[v] + a * (m - v + 1) + (s - a)
+    return np.vstack([rows, s[None]]) if n > k else rows
 
 
 @dataclass(frozen=True)
@@ -199,15 +217,15 @@ class PmfTable:
             raise ValueError(f"n={n} smaller than {placement.k} occupied points")
         m = placement.m
         y = np.arange(1 << m, dtype=np.int32)
-        # int8 holds every count (M < 32), so the exponent table is half the pmf's size
+        # int8 holds every count (M < 32), so the column indices stay narrow
         bits = ((y[None, :] >> np.arange(m - 1, -1, -1, dtype=np.int32)[:, None]) & 1).astype(np.int8)
         starts = np.cumsum((0,) + placement.counts[:-1])
         alarms = np.add.reduceat(bits, starts, axis=0, dtype=np.int8)  # (k, 2^M) block sums
-        exponents = block_exponents(alarms, placement.counts, n)
-        powers = power_table([model.p_f], [model.p_d], exponents.max())
-        rows = np.empty(exponents.shape[1:])
-        for r in range(len(rows)):  # row by row: the kernel's temporaries hold 2^M entries
-            rows[r] = likelihoods(exponents[:, r : r + 1], powers)[0, :, 0]
+        column = block_columns(alarms, placement.counts, n)
+        table = slice_table([model.p_f], [model.p_d], m)[:, 0]
+        rows = np.empty(column.shape)
+        for r in range(len(rows)):  # row by row: the gather's intp index holds 2^M entries
+            np.take(table, column[r], out=rows[r])
         rows.flags.writeable = False
         return cls(model=model, placement=placement, n=n, rows=rows, collapsed=n > placement.k)
 

@@ -148,10 +148,9 @@ def simulate(
                     np.take(tie_len, index[:b], out=lens[:b], mode="clip")
                     rng.random(out=r[:b])
                     np.multiply(r[:b], lens[:b], out=r[:b])
-                    np.copyto(pick[:b], r[:b], casting="unsafe")  # truncates, as astype
-                    # the product can round up to lens when r is within an ulp of 1
-                    np.subtract(lens[:b], 1, out=lens[:b])
-                    np.minimum(pick[:b], lens[:b], out=pick[:b])
+                    # truncates, as astype; pick < lens, since r is a multiple of
+                    # 2^-53 below 1 and lens < 2^53, so r * lens rounds below lens
+                    np.copyto(pick[:b], r[:b], casting="unsafe")
                     np.multiply(index[:b], n, out=index[:b])
                     np.add(index[:b], pick[:b], out=index[:b])
                     np.take(flat_ties, index[:b], out=pick[:b], mode="clip")

@@ -9,14 +9,25 @@ map's per-node arrays. ``pe_exact`` is the one exact reference: rational
 arithmetic, no rounding at all. ``pe_grid_full_table`` is the exception
 that proves a rewrite changed no bits: it repeats the grid kernel's
 arithmetic in its plainest array form.
+
+The closed forms at the end (``closed_form_pe2``, the M = 4 region
+inequalities) and ``flip_model`` and ``strict_onset`` are references only
+the tests read; the acceptance tests compare the package against them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
 import numpy as np
+
+from placedet import SensorModel
+from placedet.detection import class_table
+from placedet.model import likelihood_columns
+
+Counts = tuple[int, ...]
 
 
 def pentagonal_partition_counts(limit: int) -> list[int]:
@@ -136,20 +147,24 @@ def pe_exact(positions, n: int, pd: float, pf: float) -> Fraction:
     return total / n
 
 
-def pe_grid_full_table(exponents, mult, weight, n: int, pf, pd) -> np.ndarray:
+def pe_grid_full_table(counts, n: int, pf, pd) -> np.ndarray:
     """Grid P_e from the full (rows, classes, nodes) likelihood table.
 
-    Takes a ``count_classes`` table and equal-length node arrays. Builds the
-    powers over the whole grid, one 1-D ``np.power`` of the stacked bases per
-    exponent (an element's bits then do not depend on the array's length),
-    forms every row x class likelihood with four gathers and three
-    multiplies, and sums in the grid kernel's order: rows one after another,
-    the empty row weighted by its multiplicity, then the classes one after
-    another in the S - max form. The sums are written out as loops, not
+    Takes a placement, its point count and equal-length node arrays, and
+    reads the exponents of each row and class from ``likelihood_columns`` at
+    the ``class_table`` columns. Builds the powers over the whole grid, one
+    1-D ``np.power`` of the stacked bases per exponent (an element's bits
+    then do not depend on the array's length), forms every row x class
+    likelihood with four gathers and three multiplies, and sums in the grid
+    kernel's order: rows one after another, the empty row weighted by its
+    multiplicity, then the classes one after another in the S - max form. The sums are written out as loops, not
     numpy reductions, which add pairwise along a contiguous axis, so the
     order is the same for one node and for many, and the kernel must match
     this bit for bit.
     """
+    classes = class_table(tuple(counts), n)
+    exponents = likelihood_columns(sum(counts))[:, classes.column]
+    mult, weight = classes.mult, classes.weight
     pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
     bases = np.stack([pd, 1.0 - pd, pf, 1.0 - pf])
     powers = np.array([np.power(bases, float(k)) for k in range(exponents.max() + 1)])
@@ -230,3 +245,134 @@ def region_csv_by_cells(region_map) -> str:
             f"{cell.pe_min!r},{cell.margin!r}"
         )
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Closed forms and test-only references
+# ---------------------------------------------------------------------------
+
+
+def closed_form_pe2(placement, model: SensorModel) -> float:
+    """Independent closed-form P_e for the two-sensor, two-point cases.
+
+    Term-by-term transcription of the explicit four-observation minima for
+    the placements (1,1) and (2); valid on the whole (p_f, p_d) unit square.
+    Used as an oracle against ``error_probability``.
+    """
+    if placement.m != 2 or placement.n != 2:
+        raise ValueError("closed form covers m = n = 2 only")
+    pd, pf = model.p_d, model.p_f
+    if placement.counts == (1, 1):
+        return 0.5 * (
+            (1.0 - pd) * (1.0 - pf)
+            + pd * pf
+            + 2.0 * min(pf - pd * pf, pd - pd * pf)
+        )
+    if placement.counts == (2,):
+        return 0.5 * (
+            min((1.0 - pd) ** 2, (1.0 - pf) ** 2)
+            + min(pd**2, pf**2)
+            + 2.0 * min(pd * (1.0 - pd), pf * (1.0 - pf))
+        )
+    raise ValueError(f"unexpected placement {placement.counts} for m=n=2")
+
+
+def flip_model(model: SensorModel) -> SensorModel:
+    """Complementary model (1-p_d, 1-p_f).
+
+    Inverting every alarm bit turns a detector for ``model`` into a detector
+    for the flipped model, so the error probability is invariant under this
+    map. It reduces the p_d < p_f half-plane to the p_d >= p_f half.
+    """
+    return SensorModel(1.0 - model.p_d, 1.0 - model.p_f)
+
+
+M4_PLACEMENTS: tuple[Counts, ...] = ((4,), (3, 1), (2, 2), (2, 1, 1))
+
+
+@dataclass(frozen=True)
+class M4RegionVerdict:
+    """Outcome of the closed-form region test at one point.
+
+    ``placement`` is set when exactly one region expression fires; otherwise
+    the point sits on (or numerically indistinguishable from) a boundary
+    curve and ``ambiguous`` is set instead of guessing.
+    """
+
+    placement: Counts | None
+    fired: tuple[Counts, ...]
+
+    @property
+    def ambiguous(self) -> bool:
+        return self.placement is None
+
+
+def m4_fired_grid(pf: np.ndarray, pd: np.ndarray) -> np.ndarray:
+    """Boolean (4, G) array: which closed-form region holds at each point.
+
+    The four expressions are polynomial inequalities in (p_f, p_d) that tile
+    the p_d > p_f half-plane; shared boundary curves may satisfy zero or two
+    of them, which callers must treat as boundary hits.
+    """
+    f, d = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
+    poly4 = (d - f) * (
+        -(d + f) * (d**2 + f**2) + (d**2 + d * f + f**2) + (1.0 - f**3)
+    )
+    e4 = poly4 < 0.0
+
+    gap31 = 2.0 * (d**2 - f**2) - (d - f) - (d**3 - f**3) - d * f**2 * (d - f)
+    cube_lt = d**3 * (1.0 - d) < f**3 * (1.0 - f)
+    cube_ge = d**3 * (1.0 - d) >= f**3 * (1.0 - f)
+    sq_lt = d**2 * (1.0 - d) < f**2 * (1.0 - f)
+    corner_gt = (d + f - 1.0) ** 2 > d * f * (1.0 - f)
+    corner_le = (d + f - 1.0) ** 2 <= d * f * (1.0 - f)
+    e31 = ((poly4 >= 0.0) & (gap31 < 0.0) & cube_lt) | (corner_gt & cube_ge & sq_lt)
+
+    sym22 = (d**2 - f**2) * (2.0 - d**2 - 2.0 * f**2) >= 0.0
+    gap22 = (
+        2.0 * (d - f)
+        + 2.0 * f**3 * (1.0 - f)
+        - d * f**2 * (1.0 - f)
+        - d * f**2 * (1.0 - d)
+        - (d**2 - f**2)
+        - f * (d - f)
+    )
+    e22 = (sym22 & (gap31 >= 0.0) & (gap22 <= 0.0) & cube_lt) | (
+        (2.0 * (1.0 - f) < d) & corner_le & cube_ge
+    )
+
+    e21 = 2.0 * (1.0 - f) >= d
+    return np.stack([e4, e31, e22, e21])
+
+
+def region_predicate_m4(p_f: float, p_d: float) -> M4RegionVerdict:
+    """Closed-form optimal placement for m = n = 4 at one (p_f, p_d) point.
+
+    Evaluates the four printed region inequalities verbatim; requires
+    p_d >= p_f. Exactly one firing expression names the optimum; zero or
+    several mark a boundary point.
+    """
+    if p_d < p_f:
+        raise ValueError(f"regions are defined for p_d >= p_f, got ({p_f}, {p_d})")
+    fired_mask = m4_fired_grid(np.array([p_f]), np.array([p_d]))[:, 0]
+    fired = tuple(M4_PLACEMENTS[i] for i in np.nonzero(fired_mask)[0])
+    placement = fired[0] if len(fired) == 1 else None
+    return M4RegionVerdict(placement=placement, fired=fired)
+
+
+def strict_onset(region_map, counts: Counts) -> tuple[float | None, float | None]:
+    """(last p_d row before ``counts`` first wins strictly, first row where it does).
+
+    Scanning rows bottom-up; (None, None) when the placement never wins, and
+    a None first element when it already wins on the lowest row.
+    """
+    rm = region_map
+    if counts not in rm.partitions:
+        return None, None
+    wins = rm.strict & (rm.winner == rm.partitions.index(counts))
+    if not wins.any():
+        return None, None
+    rows, first_node = np.unique(rm.i_d, return_index=True)
+    k = int(np.searchsorted(rows, rm.i_d[wins].min()))
+    row_pd = rm.pd[first_node]
+    return (float(row_pd[k - 1]) if k > 0 else None), float(row_pd[k])

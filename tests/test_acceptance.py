@@ -14,7 +14,6 @@ from placedet import (
     canonicalize_placement,
     chain_sort,
     check_monotone_on_scale,
-    closed_form_pe2,
     enumerate_partitions,
     error_probability,
     error_probability_grid,
@@ -27,15 +26,15 @@ from placedet import (
     verify_thm41,
     verify_thm42,
 )
-from placedet.analysis import (
-    _m4_fired_grid,
+from placedet.analysis import grid_values, region_csv_text
+
+from oracles import (
     M4_PLACEMENTS,
-    grid_values,
-    region_csv_text,
+    closed_form_pe2,
+    m4_fired_grid,
+    pentagonal_partition_counts,
     strict_onset,
 )
-
-from oracles import pentagonal_partition_counts
 
 
 @contextmanager
@@ -135,7 +134,7 @@ def test_criterion_06_four_sensor_closed_form_regions():
         region_map = sweep_plane(4, 4, step)
         pf = np.array([c.p_f for c in region_map.cells])
         pd = np.array([c.p_d for c in region_map.cells])
-        fired = _m4_fired_grid(pf, pd)
+        fired = m4_fired_grid(pf, pd)
         n_fired = fired.sum(axis=0)
         disagreements = []
         checked = 0

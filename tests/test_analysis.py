@@ -8,7 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import monotone_on_scale_by_cells, pe_grid_full_table, region_csv_by_cells
+from oracles import (
+    monotone_on_scale_by_cells,
+    pe_grid_full_table,
+    region_csv_by_cells,
+    region_predicate_m4,
+    strict_onset,
+)
 from placedet import (
     BudgetError,
     RegionMap,
@@ -19,7 +25,6 @@ from placedet import (
     error_probability,
     canonicalize_placement,
     optimal_placements,
-    region_predicate_m4,
     sweep_plane,
     sweep_window,
     verify_cor41,
@@ -34,10 +39,9 @@ from placedet.analysis import (
     full_partition_scale,
     grid_values,
     region_csv_text,
-    strict_onset,
 )
 from placedet import detection
-from placedet.detection import class_count, count_classes, error_probability_grid, partition_pes
+from placedet.detection import class_count, class_table, error_probability_grid, partition_pes
 from placedet.partitions import enumerate_partitions
 
 
@@ -57,8 +61,7 @@ def test_sweep_budget_refusal_names_cost():
     # the 199 * 200 / 2 half-plane nodes
     terms = math.comb(16 + 3, 3)
     for p in enumerate_partitions(16):
-        exponents, _, weight = count_classes(p, 17)
-        terms += exponents.shape[1] * weight.size
+        terms += class_table(p, 17).column.size
     cost = f"work {199 * 200 // 2 * terms:,} exceeds the budget {detection.WORK_BUDGET:,}"
     with pytest.raises(BudgetError, match=re.escape(cost)):
         sweep_plane(16, 17, 0.005)
@@ -478,12 +481,13 @@ def test_map_walk_builds_each_class_table_once(monkeypatch):
     m, n_values = 14, (15, 16)
     parts = tuple(enumerate_partitions(m))
     built = []
+    block_columns = detection.block_columns
 
-    def counting(counts, n):
+    def counting(alarms, counts, n):
         built.append((counts, n))
-        return count_classes(counts, n)
+        return block_columns(alarms, counts, n)
 
-    monkeypatch.setattr(detection, "count_classes", counting)
+    monkeypatch.setattr(detection, "block_columns", counting)
     detection.class_table.cache_clear()
     try:
         axis = tuple(np.linspace(0.05, 0.95, 15))
@@ -542,7 +546,7 @@ def test_region_map_pes_match_standalone_kernel_and_oracle(monkeypatch):
                 pf, pd = region_map.pf, region_map.pd
                 assert pes.shape == (len(parts), pf.size)
                 for i, counts in enumerate(region_map.partitions):
-                    oracle = pe_grid_full_table(*count_classes(counts, n), n, pf, pd)
+                    oracle = pe_grid_full_table(counts, n, pf, pd)
                     assert np.array_equal(pes[i], error_probability_grid(counts, n, pf, pd))
                     assert np.array_equal(pes[i], oracle), (m, n, counts)
 

@@ -181,7 +181,6 @@ def test_refusals_come_before_any_table(monkeypatch, capsys, argv):
     for module, name in (
         (detection, "slice_table"),
         (detection, "class_table"),
-        (detection, "count_classes"),
         (montecarlo, "_decision_tables"),
         (montecarlo, "_alarm_thresholds"),
         (cli, "compare"),

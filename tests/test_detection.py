@@ -14,27 +14,26 @@ from placedet import (
     PmfTable,
     SensorModel,
     canonicalize_placement,
-    closed_form_pe2,
     enumerate_partitions,
     error_probability,
     error_probability_grid,
-    flip_model,
     map_decide,
     observation_index,
     optimal_placements,
 )
 from placedet import detection
 from placedet.analysis import COUNTEREXAMPLE_PROBES, grid_values, sweep_window
-from placedet.detection import (
-    class_count,
-    class_table,
-    count_classes,
-    likelihood_columns,
-    slice_table,
-)
-from placedet.model import power_table
+from placedet.detection import class_count, class_table
+from placedet.model import block_columns, likelihood_columns, power_table, slice_table
 
-from oracles import pe_exact, pe_from_positions, pe_grid_full_table, positions_from_counts
+from oracles import (
+    closed_form_pe2,
+    flip_model,
+    pe_exact,
+    pe_from_positions,
+    pe_grid_full_table,
+    positions_from_counts,
+)
 
 P11 = canonicalize_placement([1, 1], n=2)
 P20 = canonicalize_placement([2], n=2)
@@ -208,15 +207,37 @@ def test_grid_evaluator_matches_oracle_at_random_points():
 
 def test_count_class_table_shape():
     for m in range(1, 9):
-        assert count_classes((1,) * m, m)[2].size == m + 1
+        assert class_table((1,) * m, m).weight.size == m + 1
         for counts in enumerate_partitions(m):
             for n in (m, m + 2):
-                exponents, mult, weight = count_classes(counts, n)
+                mult, weight, column = class_table(counts, n)
+                exponents = likelihood_columns(m)[:, column]
                 assert class_count(counts) == weight.size
                 assert weight.sum() == 2**m
                 assert mult.sum() == n
                 assert (exponents.sum(axis=0) == m).all()
-    assert sum(count_classes(c, 8)[2].size for c in enumerate_partitions(8)) == 591
+    assert sum(class_table(c, 8).weight.size for c in enumerate_partitions(8)) == 591
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.intp])
+def test_block_columns_name_the_likelihood_formula(dtype):
+    # for every block size v, own alarms a and total alarms s, the row's
+    # column is p_d^a (1-p_d)^(v-a) p_f^(s-a) (1-p_f)^(m-v-s+a); the empty
+    # row (v = a = 0) follows the blocks when n > k
+    for m in range(1, 11):
+        for v in range(1, m + 1):
+            counts = (v, m - v)[: 1 + (v < m)]
+            a, s = np.array(
+                [(a, s) for a in range(v + 1) for s in range(a, a + m - v + 1)], dtype=dtype
+            ).T
+            alarms = np.stack([a, s - a])[: len(counts)]
+            blocks = [(v, a), (m - v, s - a)][: len(counts)]
+            for n, rows in ((len(counts), blocks), (len(counts) + 1, [*blocks, (0, 0 * s)])):
+                column = block_columns(alarms, counts, n)
+                assert column.shape == (len(rows), s.size)
+                for (size, own), got in zip(rows, column):
+                    expected = [own, size - own, s - own, m - size - s + own]
+                    assert np.array_equal(likelihood_columns(m)[:, got], expected), (m, v, size, n)
 
 
 def _per_node(counts, n):
@@ -263,8 +284,7 @@ def test_slice_width_follows_the_larger_array(monkeypatch):
 
 def test_grid_memory_bounded_by_slice():
     counts, n, nodes = (3, 2, 1, 1, 1), 9, 20_000
-    exponents = count_classes(counts, n)[0]
-    one_temporary = exponents.shape[1] * exponents.shape[2] * nodes * 8
+    one_temporary = class_table(counts, n).column.size * nodes * 8
     pf = np.linspace(0.01, 0.5, nodes)
     tracemalloc.start()
     try:
@@ -294,11 +314,11 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
     for m in range(1, 9):
         for counts in enumerate_partitions(m):
             for n in (m, m + 2):
-                exponents, mult, weight = count_classes(counts, n)
-                width = detection.slice_width(likelihood_columns(m).shape[1], weight.size)
+                classes = class_table(counts, n).weight.size
+                width = detection.slice_width(likelihood_columns(m).shape[1], classes)
                 for size in (1, 40, 2 * width + 1):
                     pf, pd = _oracle_nodes(rng, size)
-                    expected = pe_grid_full_table(exponents, mult, weight, n, pf, pd)
+                    expected = pe_grid_full_table(counts, n, pf, pd)
                     assert np.array_equal(error_probability_grid(counts, n, pf, pd), expected)
                     table = slice_table(pf, pd, m)
                     got = error_probability_grid(counts, n, pf, pd, table=table)
@@ -308,10 +328,9 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
     for m in range(9, 13):
         for counts in enumerate_partitions(m):
             n = m + 1
-            exponents, mult, weight = count_classes(counts, n)
             for _ in range(3):
                 pf, pd = rng.uniform(size=(2, 1))
-                expected = pe_grid_full_table(exponents, mult, weight, n, pf, pd)
+                expected = pe_grid_full_table(counts, n, pf, pd)
                 got = error_probability_grid(counts, n, pf, pd, table=slice_table(pf, pd, m))
                 assert np.array_equal(got, expected), (counts, n, pf, pd)
 
@@ -437,8 +456,7 @@ def test_partition_pes_refuses_sensors_and_work_before_tables(monkeypatch):
     terms = math.comb(4 + 3, 3)
     for n in n_values:
         for counts in parts:
-            exponents, _, weight = count_classes(counts, n)
-            terms += exponents.shape[1] * weight.size
+            terms += class_table(counts, n).column.size
     work = pf.size * terms
     monkeypatch.setattr(detection, "WORK_BUDGET", work)
     assert detection.partition_pes(parts, n_values, pf, pd).shape == (2, 5, 3)
@@ -446,7 +464,7 @@ def test_partition_pes_refuses_sensors_and_work_before_tables(monkeypatch):
     def no_table(*args):
         raise AssertionError("table built")
 
-    for name in ("slice_table", "class_table", "count_classes"):
+    for name in ("slice_table", "class_table"):
         monkeypatch.setattr(detection, name, no_table)
     monkeypatch.setattr(detection, "WORK_BUDGET", work - 1)
     quoted = f"work {work:,} exceeds the budget {work - 1:,}"
@@ -484,10 +502,6 @@ def test_class_table_cached_read_only():
                 cached = class_table(counts, n)
                 assert class_table(counts, n) is cached
                 assert not any(array.flags.writeable for array in cached)
-                exponents, mult, weight = count_classes(counts, n)
-                assert np.array_equal(cached.mult, mult) and np.array_equal(cached.weight, weight)
-                # the column index names exactly the class table's exponents
-                assert np.array_equal(likelihood_columns(m)[:, cached.column], exponents)
                 used.update(np.unique(cached.column).tolist())
         # every column of m is used by some placement: no column is dead weight
         assert used == set(range(math.comb(m + 3, 3)))
@@ -542,6 +556,25 @@ def test_map_decide_with_prebuilt_table():
         map_decide(3, canonicalize_placement([3], n=4), model, table=table)
     with pytest.raises(ValueError):
         map_decide(3, placement, model, n=5, table=table)
+
+
+def test_pmf_table_and_evaluator_describe_one_detector():
+    # the decision table's rows give P_e = (1/n) sum_y (S(y) - max_j p_j(y)),
+    # with the shared empty row counted n - k times in S
+    # (p_f, p_d): the corners, the diagonal and two interior nodes
+    nodes = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.3, 0.3), (0.7, 0.7), (0.2, 0.7),
+             (0.6, 0.35))
+    for m in range(1, 9):
+        n = m + 1
+        for counts in enumerate_partitions(m):
+            placement, k = canonicalize_placement(counts, n), len(counts)
+            for p_f, p_d in nodes:
+                model = SensorModel(p_d=p_d, p_f=p_f)
+                rows = PmfTable.build(placement, model, n).rows
+                s = rows[:k].sum(axis=0) + (n - k) * rows[k]
+                from_table = (s - rows.max(axis=0)).sum() / n
+                pe = error_probability(placement, model, n).value
+                assert abs(from_table - pe) <= 1e-14, (counts, p_f, p_d)
 
 
 def test_optimal_four_sensors_reliable_corner():

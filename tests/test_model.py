@@ -10,12 +10,11 @@ from placedet import (
     PmfTable,
     SensorModel,
     canonicalize_placement,
-    flip_model,
     observation_index,
 )
 from placedet.partitions import enumerate_partitions
 
-from oracles import bits_from_index, pmf_from_positions, positions_from_counts
+from oracles import bits_from_index, flip_model, pmf_from_positions, positions_from_counts
 
 
 def pmf(y, j, placement, model):
