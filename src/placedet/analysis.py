@@ -27,7 +27,7 @@ import numpy as np
 from .detection import BudgetError, argmin_with_ties, optimal_placements, partition_pes
 from .majorization import MajorizationVerdict, PlacementScale, chain_sort, compare, is_chain
 from .model import SensorModel
-from .partitions import enumerate_partitions
+from .partitions import MAX_M, enumerate_partitions
 
 STEP_MIN = 1e-3
 STEP_MAX = 0.1
@@ -271,10 +271,13 @@ def verify_thm41(m_max: int = 5, step: float = 0.02) -> VerificationReport:
 
     For every m = n <= m_max and every grid node, checks
     P_e(1,...,1) >= P_e(2,1,...,1,0) - tol on the p_d >= p_f half-plane.
-    The claim starts at m = 2, so ``m_max`` < 2 would check nothing.
+    The claim starts at m = 2, so ``m_max`` < 2 would check nothing; an
+    ``m_max`` above ``partitions.MAX_M`` is refused before any table is built.
     """
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
+    if m_max > MAX_M:
+        raise ValueError(f"m_max={m_max} exceeds the sensor bound {MAX_M}")
     values = grid_values(step)
     _, _, pf, pd = _nodes(values, values, half_plane=True)
     checked = 0

@@ -20,31 +20,22 @@ row x the alarm probability of every sensor when the intruder is at x (p_d
 on x's block, p_f elsewhere), so a trial's alarms are ``u < thresholds[x]``.
 
 Each worker allocates its buffers once and reuses them for every chunk of
-its stripe: a (rows, m) block of uniforms and one of thresholds, a bool
-alarm buffer, a chunk-length array of packed observations, and block-length
-integer, float and bool scratch. Per block the loop allocates only the
-packed bytes that ``np.packbits`` returns, one byte per 8 alarm columns;
-per chunk, only the positions. A chunk then runs in three steps:
+its stripe; per chunk the loop allocates only the positions x. A chunk
+draws x, then makes one pass over row blocks of about ``DRAW_BLOCK_ENTRIES``
+uniforms: draw the block's uniforms, compare them with the gathered
+threshold rows into a float32 alarm block, form each row's observation
+index with one ``np.matmul`` by (2^(m-1), ..., 2, 1) (y_1 most significant,
+as in ``model.observation_index``; exact, since every partial sum is an
+integer below 2^m <= 2^20 < 2^24), and decide: ``uniform_random`` picks a
+tie by the flat index obs * n + pick into the decision table,
+``lowest_index`` takes the first tie. Count the decisions that miss x.
 
-* draw the positions x, one per trial;
-* for each row block of about ``DRAW_BLOCK_ENTRIES`` uniforms: draw the
-  uniforms into the block with ``rng.random(out=...)``, gather the threshold
-  rows of the block's positions with ``np.take``, and compare into the last m
-  columns of the alarm buffer, whose width is m rounded up to 8, 16, 32 or 64
-  bits with the leading columns left False; ``np.packbits`` over the flat
-  buffer, read as big-endian unsigned integers of that width, gives each
-  row's observation index with y_1 most significant, as in
-  ``model.observation_index``, and is stored into the chunk's array;
-* after all alarm blocks, for each block again: with ``uniform_random``, draw
-  the block's tie uniforms and pick a tie by the flat index obs * n + pick
-  into the decision table; with ``lowest_index``, look up the first tie of
-  each observation. Count the decisions that miss x.
-
-``Generator.random`` consumes one 64-bit output per double, in order, so the
-uniform blocks read the same stream as one (chunk size, m) draw, and the tie
-blocks the same as one draw of chunk size. The positions come first, then the
-uniform blocks, then the tie blocks, so every chunk makes the same draws, in
-the same order, as a single unblocked draw of each would.
+``Generator.random`` consumes one 64-bit PCG64 output per double, in order,
+so the blocks read the same stream as one (chunk size, m) draw. The tie
+uniforms come from a second PCG64 generator per worker, set to the chunk
+generator's state after the positions and advanced by size * m outputs, so
+every chunk makes the same draws as unblocked draws of the positions, the
+uniforms and then the ties.
 """
 
 from __future__ import annotations
@@ -85,14 +76,12 @@ def simulate(
 ) -> SimResult:
     """Estimate P_e by simulation; reproducible for a given seed.
 
-    The decision table (argmax set per observation) is built once from the
-    exact pmf, and so is the (n + 1, m) table of per-sensor alarm
-    probabilities for each intruder position. Each trial then only needs a
-    position, m uniforms compared against its threshold row, the packed
-    observation index and a table lookup. Each worker reuses one set of
-    buffers for every block of every chunk it runs; the tie uniforms of a
-    chunk are drawn block by block after all its alarm blocks, which reads
-    the same stream as one draw. The counts depend only on
+    The decision table (argmax set per observation) and the (n + 1, m) table
+    of per-sensor alarm probabilities are built once. Each worker then makes
+    one pass over the row blocks of each chunk it runs: per trial a position,
+    m uniforms compared against its threshold row, one matmul row for the
+    observation index and a table lookup, with tie uniforms from a generator
+    advanced past the chunk's alarm uniforms. The counts depend only on
     (placement, model, n, trials, seed, tie_rule), not on ``threads``.
     The decision table has 2^m x n entries, so it may hold no more than at
     ``partitions.MAX_M`` sensors on MAX_M + 1 points; a larger (m, n) is
@@ -103,6 +92,8 @@ def simulate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     m = placement.m
     if (1 << m) * n > (1 << MAX_M) * (MAX_M + 1):
         raise ValueError(
@@ -114,39 +105,40 @@ def simulate(
     first_tie = np.ascontiguousarray(tie_table[:, 0])
     flat_ties = tie_table.ravel()
     thresholds = _alarm_thresholds(placement, model, n)
-    block_rows = max(1, DRAW_BLOCK_ENTRIES // m)
+    weights = _index_weights(m)
+    rows = min(max(1, DRAW_BLOCK_ENTRIES // m), CHUNK_TRIALS, trials)  # block rows
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     workers = max(1, min(threads, n_chunks))
 
     def run_stripe(first: int) -> int:
         # one task per worker, so a huge chunk count queues no futures; every
         # chunk of the stripe reuses the worker's buffers below
-        rows = min(block_rows, CHUNK_TRIALS, trials)
-        buffer = _alarm_buffer(rows, m)
         u, thr = np.empty((rows, m)), np.empty((rows, m))
-        obs = np.empty(min(CHUNK_TRIALS, trials), dtype=_packed_dtype(buffer))
+        alarms, obs = np.empty((rows, m), np.float32), np.empty(rows, np.float32)
         index, pick, lens = (np.empty(rows, dtype=np.int64) for _ in range(3))
         r, miss = np.empty(rows), np.empty(rows, dtype=bool)
+        tie_rng = np.random.Generator(np.random.PCG64(seed))  # state set per chunk
         errors = 0
         for i in range(first, n_chunks, workers):
             size = min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS)
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
+            rng = np.random.Generator(bitgen)
             x = rng.integers(1, n + 1, size=size, dtype=np.int64)
-            blocks = [(lo, min(lo + rows, size)) for lo in range(0, size, rows)]
+            if tie_rule == "uniform_random":
+                tie_rng.bit_generator.state = bitgen.state
+                tie_rng.bit_generator.advance(size * m)
             # every np.take below uses mode="clip", which writes straight into
             # out (the indices are in range); the default "raise" buffers a copy
-            for lo, hi in blocks:
-                b = hi - lo
+            for lo in range(0, size, rows):
+                b = min(rows, size - lo)
                 rng.random(out=u[:b])
-                np.take(thresholds, x[lo:hi], axis=0, out=thr[:b], mode="clip")
-                np.less(u[:b], thr[:b], out=buffer[:b, -m:])
-                obs[lo:hi] = _pack_alarms(buffer[:b])
-            for lo, hi in blocks:
-                b = hi - lo
-                np.copyto(index[:b], obs[lo:hi])
+                np.take(thresholds, x[lo : lo + b], axis=0, out=thr[:b], mode="clip")
+                np.less(u[:b], thr[:b], out=alarms[:b])
+                np.matmul(alarms[:b], weights, out=obs[:b])
+                np.copyto(index[:b], obs[:b], casting="unsafe")
                 if tie_rule == "uniform_random":
                     np.take(tie_len, index[:b], out=lens[:b], mode="clip")
-                    rng.random(out=r[:b])
+                    tie_rng.random(out=r[:b])
                     np.multiply(r[:b], lens[:b], out=r[:b])
                     # truncates, as astype; pick < lens, since r is a multiple of
                     # 2^-53 below 1 and lens < 2^53, so r * lens rounds below lens
@@ -156,7 +148,7 @@ def simulate(
                     np.take(flat_ties, index[:b], out=pick[:b], mode="clip")
                 else:
                     np.take(first_tie, index[:b], out=pick[:b], mode="clip")
-                np.not_equal(pick[:b], x[lo:hi], out=miss[:b])
+                np.not_equal(pick[:b], x[lo : lo + b], out=miss[:b])
                 errors += int(np.count_nonzero(miss[:b]))
             del x  # so the next chunk's positions do not coexist with these
         return errors
@@ -187,31 +179,9 @@ def _alarm_thresholds(placement: Placement, model: SensorModel, n: int) -> np.nd
     return np.where(at_x, model.p_d, model.p_f)
 
 
-def _alarm_buffer(rows: int, m: int) -> np.ndarray:
-    """Zeroed (rows, width) bool buffer, width = m rounded up to 8, 16, 32 or 64.
-
-    Alarms (y_1, ..., y_m) go in the last m columns; the leading pad columns
-    stay False, so each packed row is a big-endian unsigned integer.
-    """
-    width = 8
-    while width < m:
-        width *= 2
-    return np.zeros((rows, width), dtype=bool)
-
-
-def _packed_dtype(buffer: np.ndarray) -> np.dtype:
-    """Big-endian unsigned integer as wide as a row of an ``_alarm_buffer``."""
-    return np.dtype(f">u{buffer.shape[1] // 8}")
-
-
-def _pack_alarms(buffer: np.ndarray) -> np.ndarray:
-    """Observation index of each row of an ``_alarm_buffer``, y_1 most significant.
-
-    The indices come back in ``_packed_dtype(buffer)``, a view of the packed
-    bytes, so storing them into an array of that dtype copies no more.
-    """
-    packed = np.packbits(buffer)  # flat and big-endian: one byte per 8 columns
-    return packed.view(_packed_dtype(buffer))
+def _index_weights(m: int) -> np.ndarray:
+    """float32 (2^(m-1), ..., 2, 1): alarms @ weights is the observation index."""
+    return (2.0 ** np.arange(m - 1, -1, -1)).astype(np.float32)
 
 
 def _decision_tables(placement: Placement, model: SensorModel, n: int):

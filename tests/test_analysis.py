@@ -42,7 +42,7 @@ from placedet.analysis import (
 )
 from placedet import detection
 from placedet.detection import class_count, class_table, error_probability_grid, partition_pes
-from placedet.partitions import enumerate_partitions
+from placedet.partitions import MAX_M, enumerate_partitions
 
 
 def test_grid_values_cover_open_interval():
@@ -189,6 +189,15 @@ def test_verify_thm41_rejects_empty_range():
     # m starts at 2, so m_max = 1 would report a pass that checked nothing
     with pytest.raises(ValueError):
         verify_thm41(m_max=1)
+
+
+def test_verify_thm41_refuses_too_many_sensors_before_tables(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(detection, "slice_table", no_table)
+    with pytest.raises(ValueError, match=f"m_max={MAX_M + 1} exceeds"):
+        verify_thm41(m_max=MAX_M + 1)
 
 
 def test_verify_thm42_passes():

@@ -172,6 +172,8 @@ def test_sweep_budget_refusal(capsys):
         ("majorize", "--m", "21"),
         ("simulate", "--n", "1000000000", "--pd", "0.7", "--pf", "0.3",
          "--placement", "1", "--trials", "10"),
+        ("simulate", "--n", "3", "--pd", "0.7", "--pf", "0.3",
+         "--placement", "1", "--trials", "10", "--seed", "-1"),
     ],
 )
 def test_refusals_come_before_any_table(monkeypatch, capsys, argv):

@@ -18,7 +18,7 @@ from placedet import (
 )
 from placedet import montecarlo
 from placedet.detection import MAP_TIE_RTOL
-from placedet.montecarlo import CHUNK_TRIALS, _alarm_buffer, _decision_tables, _pack_alarms
+from placedet.montecarlo import CHUNK_TRIALS, _decision_tables, _index_weights
 from placedet.partitions import MAX_M
 
 
@@ -124,18 +124,19 @@ def test_draw_block_size_does_not_change_counts(monkeypatch, block_entries):
     assert simulate(placement, model, trials=70_001, seed=4) == default
 
 
-@pytest.mark.parametrize("m", [1, 7, 8, 9, 15, 16, 17, 20])
-def test_pack_alarms_matches_observation_index(m):
-    rng = np.random.default_rng(m)
-    bits = rng.random((200, m)) < 0.5
-    bits = np.vstack([bits, np.zeros((1, m), bool), np.ones((1, m), bool)])
-    buffer = _alarm_buffer(len(bits), m)
-    assert buffer.shape[1] in (8, 16, 32, 64) and m <= buffer.shape[1] < max(2 * m, 9)
-    buffer[:, -m:] = bits
-    packed = _pack_alarms(buffer)
-    assert packed.dtype == np.dtype(f">u{buffer.shape[1] // 8}")
-    assert packed.tolist() == [observation_index(row.tolist()) for row in bits]
-    assert packed[-2] == 0 and packed[-1] == (1 << m) - 1
+@pytest.mark.parametrize("m", range(1, MAX_M + 1))
+def test_index_weights_match_observation_index(m):
+    # every alarm vector up to m = 10, then 10^4 random ones; the float32
+    # alarms and the matmul are the draw loop's
+    if m <= 10:
+        y = np.arange(1 << m)
+        bits = (y[:, None] >> np.arange(m - 1, -1, -1)) & 1 == 1
+    else:
+        bits = np.random.default_rng(m).random((10_000, m)) < 0.5
+        bits[:2] = [[False] * m, [True] * m]
+    alarms = bits.astype(np.float32)
+    index = np.matmul(alarms, _index_weights(m)).astype(np.int64)
+    assert index.tolist() == [observation_index(row.tolist()) for row in bits]
 
 
 def test_lazy_chunk_seed_equals_spawned_child():
