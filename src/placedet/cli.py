@@ -6,8 +6,9 @@ writer, the Monte Carlo cross-check, and the structural verifiers. Outputs
 are JSON (CSV for sweeps and the majorization matrix) and are pure functions
 of the arguments, so repeated runs are byte-identical. Exit status: 0 on
 success / verification pass, 1 on verification failure, 2 on usage errors,
-refused compute budgets and any other fault (one line on stderr, no
-traceback).
+refused inputs or compute budgets and any other fault. Every status-2 exit
+writes exactly one line to stderr, ``error: ...`` or ``refused: ...``, and
+no traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import analysis, montecarlo
 from .detection import BudgetError, error_probability, optimal_placements
 from .majorization import MajorizationVerdict, compare
 from .model import SensorModel, canonicalize_placement
-from .partitions import MAX_M, enumerate_partitions
+from .partitions import enumerate_partitions
 
 SCHEMA_VERSION = "1"
 
@@ -32,16 +33,22 @@ _PROP51_PAIRS = ((3, 3), (3, 4), (4, 4), (4, 5), (5, 6))
 
 def _parse_placement(text: str) -> tuple[int, ...]:
     try:
-        counts = tuple(int(part) for part in text.split("-"))
+        return tuple(int(part) for part in text.split("-"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"placement must be dash-joined integers like 2-1-1-0, got {text!r}"
         ) from None
-    return counts
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on one stderr line; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {_one_line(message)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="placedet",
         description="Exact sensor-placement toolkit for intruder detection.",
     )
@@ -105,62 +112,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Validate the parsed namespace in place; argparse errors carry exit status 2.
+def validate(args: argparse.Namespace) -> None:
+    """Apply the rules only the command line knows, in place; raise ``ValueError``.
 
-    Sets ``m`` from ``--placement``, maps ``--ties`` to the simulator's
-    tie-rule names, and caps ``--threads`` at the CPU count (no output
-    depends on the thread count).
+    These are: ``--m`` equals the ``--placement`` total (m is set from it),
+    ``--threads >= 1`` (capped at the CPU count; no output depends on it), the
+    ``--ties`` names, and the flags ``verify thm42``, ``conjecture`` and
+    ``prop51`` need. Each rule on values (ranges, m <= n, the sensor bound,
+    trials, m < n1 < n2) belongs to the library call that refuses it.
     """
     ns = vars(args)  # the namespace's own dict: writes land on args
-    sub = ns["subcommand"]
-    for prob_key in ("pd", "pf"):
-        value = ns.get(prob_key)
-        if value is not None and not 0.0 <= value <= 1.0:
-            parser.error(f"--{prob_key} must lie in [0, 1], got {value}")
     placement = ns.get("placement")
-    m = ns.get("m")
     if placement is not None:
-        if any(v < 0 for v in placement):
-            parser.error(f"--placement entries must be non-negative, got {placement}")
         total = sum(placement)
-        if total < 1:
-            parser.error("--placement must contain at least one sensor")
-        if m is not None and m != total:
-            parser.error(f"--m {m} does not match placement total {total}")
-        m = ns["m"] = total
-    if m is not None and m < 1:
-        parser.error(f"--m must be >= 1, got {m}")
-    n = ns.get("n")
-    if n is not None and n < 1:
-        parser.error(f"--n must be >= 1, got {n}")
-    if sub in ("pe", "optimal", "simulate") and m is not None and n is not None and m > n:
-        parser.error(f"need m <= n (at most one sensor per point count), got m={m} n={n}")
-    trials = ns.get("trials")
-    if trials is not None and trials < 1:
-        parser.error(f"--trials must be >= 1, got {trials}")
-    threads = ns.get("threads", 1)
-    if threads < 1:
-        parser.error(f"--threads must be >= 1, got {threads}")
+        if ns["m"] not in (None, total):
+            raise ValueError(f"--m {ns['m']} does not match placement total {total}")
+        ns["m"] = total
     if "threads" in ns:
-        ns["threads"] = min(threads, os.cpu_count() or 1)
-    tie_rule = ns.get("tie_rule")
-    if tie_rule is not None:
-        ns["tie_rule"] = {"uniform": "uniform_random", "lowest": "lowest_index"}[tie_rule]
+        if ns["threads"] < 1:
+            raise ValueError(f"--threads must be >= 1, got {ns['threads']}")
+        ns["threads"] = min(ns["threads"], os.cpu_count() or 1)
+    if "tie_rule" in ns:
+        ns["tie_rule"] = {"uniform": "uniform_random", "lowest": "lowest_index"}[ns["tie_rule"]]
     target = ns.get("target")
-    if sub == "verify" and target == "thm41" and not 2 <= ns["max_m"] <= MAX_M:
-        parser.error(f"--max-m must be in 2..{MAX_M}, got {ns['max_m']}")
-    if sub == "verify" and target == "thm42":
-        if ns.get("m") is None or ns.get("n1") is None or ns.get("n2") is None:
-            parser.error("verify thm42 requires --m, --n1 and --n2")
-        if not ns["m"] < ns["n1"] < ns["n2"]:
-            parser.error("verify thm42 requires m < n1 < n2")
-    if sub == "verify" and target == "conjecture":
-        if ns.get("m") is None or ns.get("n") is None:
-            parser.error("verify conjecture requires --m and --n")
-    if sub == "verify" and target == "prop51":
-        if (ns.get("m") is None) != (ns.get("n") is None):
-            parser.error("verify prop51 takes --m and --n together (or neither)")
+    if target == "thm42" and None in (ns["m"], ns["n1"], ns["n2"]):
+        raise ValueError("verify thm42 requires --m, --n1 and --n2")
+    if target == "conjecture" and None in (ns["m"], ns["n"]):
+        raise ValueError("verify conjecture requires --m and --n")
+    if target == "prop51" and (ns["m"] is None) != (ns["n"] is None):
+        raise ValueError("verify prop51 takes --m and --n together (or neither)")
 
 
 def _jsonable(value):
@@ -291,29 +271,25 @@ def dispatch(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> list[analysis.VerificationReport]:
     target = args.target
+    step = {} if args.step is None else {"step": args.step}  # else the verifier's default
     if target == "thm41":
-        step = 0.02 if args.step is None else args.step
-        return [analysis.verify_thm41(m_max=args.max_m, step=step)]
+        return [analysis.verify_thm41(m_max=args.max_m, **step)]
     if target == "thm42":
-        step = 0.05 if args.step is None else args.step
-        return [analysis.verify_thm42(args.m, args.n1, args.n2, step=step)]
+        return [analysis.verify_thm42(args.m, args.n1, args.n2, **step)]
     if target == "cor41":
-        step = 0.01 if args.step is None else args.step
         m = 3 if args.m is None else args.m
-        return [analysis.verify_cor41(m, step=step, threads=args.threads)]
+        return [analysis.verify_cor41(m, threads=args.threads, **step)]
     if target == "prop51":
-        step = 0.01 if args.step is None else args.step
         pairs = _PROP51_PAIRS if args.m is None else ((args.m, args.n),)
         return [
-            analysis.verify_prop51(m, n, step=step, threads=args.threads)
+            analysis.verify_prop51(m, n, threads=args.threads, **step)
             for m, n in pairs
         ]
     if target == "counterexample":
         return [analysis.verify_counterexample(threads=args.threads)]
     if target == "conjecture":
-        step = 0.01 if args.step is None else args.step
         region_map = analysis.sweep_plane(
-            args.m, args.n, step, threads=args.threads
+            args.m, args.n, 0.01 if args.step is None else args.step, threads=args.threads
         )
         return [analysis.check_conjecture_chain(region_map)]
     raise AssertionError(f"unhandled verify target {target}")
@@ -344,10 +320,9 @@ def _majorize_csv(m: int) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    validate(parser, args)
+    args = build_parser().parse_args(argv)
     try:
+        validate(args)
         return dispatch(args)
     except BudgetError as exc:
         print(f"refused: {_one_line(exc)}", file=sys.stderr)
@@ -361,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _one_line(exc: Exception) -> str:
+def _one_line(exc: Exception | str) -> str:
     return " ".join(str(exc).split())
 
 

@@ -84,8 +84,8 @@ def simulate(
     advanced past the chunk's alarm uniforms. The counts depend only on
     (placement, model, n, trials, seed, tie_rule), not on ``threads``.
     The decision table has 2^m x n entries, so it may hold no more than at
-    ``partitions.MAX_M`` sensors on MAX_M + 1 points; a larger (m, n) is
-    refused before any table is built.
+    ``partitions.MAX_M`` sensors on MAX_M + 1 points; a larger (m, n), or
+    m > n, is refused before any table is built.
     """
     n = placement.n if n is None else n
     if trials < 1:
@@ -95,6 +95,8 @@ def simulate(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     m = placement.m
+    if m > n:
+        raise ValueError(f"m={m} sensors exceed n={n} points")
     if (1 << m) * n > (1 << MAX_M) * (MAX_M + 1):
         raise ValueError(
             f"m={m}, n={n} exceeds the simulation bound: the decision table has "

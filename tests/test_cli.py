@@ -174,6 +174,12 @@ def test_sweep_budget_refusal(capsys):
          "--placement", "1", "--trials", "10"),
         ("simulate", "--n", "3", "--pd", "0.7", "--pf", "0.3",
          "--placement", "1", "--trials", "10", "--seed", "-1"),
+        ("simulate", "--n", "2", "--pd", "0.7", "--pf", "0.3", "--placement", "3"),
+        ("pe", "--n", "2", "--pd", "1.6", "--pf", "0.2", "--placement", "2"),
+        ("optimal", "--m", "4", "--n", "3", "--pd", "0.7", "--pf", "0.3"),
+        ("sweep", "--m", "3", "--n", "0"),
+        ("verify", "thm42", "--m", "4", "--n1", "4", "--n2", "6"),
+        ("verify", "thm41", "--max-m", "21"),
     ],
 )
 def test_refusals_come_before_any_table(monkeypatch, capsys, argv):
@@ -318,12 +324,21 @@ def test_unexpected_fault_exits_two_with_one_line(capsys, monkeypatch, fault):
         ("simulate", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "2", "--trials", "0"),
         ("verify", "thm41", "--max-m", "1"),
         ("verify", "thm41", "--max-m", "21"),
+        ("pe", "--pd", "0.6", "--pf", "0.2", "--placement", "2"),
+        ("verify", "thm43"),
+        (),
+        ("pe", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "2-x"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
-    with pytest.raises(SystemExit) as excinfo:
-        main(list(argv))
-    assert excinfo.value.code == 2
+    # library refusals return 2 from main; argparse's own errors raise SystemExit(2)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cpus, threads, expected", [(3, "64", 3), (3, "2", 2), (None, "4", 1)])
@@ -348,12 +363,6 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch, cpus, threads, expecte
     assert main(["simulate", "--n", "2", "--pd", "0.6", "--pf", "0.2",
                  "--placement", "2", "--threads", threads]) == 0
     assert seen == [expected, expected]
-
-
-def test_placement_parse_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["pe", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "2-x"])
-    assert excinfo.value.code == 2
 
 
 # first 16 hex digits of the sha256 of each CSV; pins the bytes across kernel changes

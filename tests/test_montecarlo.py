@@ -8,6 +8,7 @@ import pytest
 from oracles import simulate_errors_unblocked
 
 from placedet import (
+    Placement,
     SensorModel,
     canonicalize_placement,
     enumerate_partitions,
@@ -158,6 +159,9 @@ def test_refuses_too_many_sensors_before_building_tables(monkeypatch):
     placement = canonicalize_placement([MAX_M + 1], n=MAX_M + 1)
     with pytest.raises(ValueError, match="exceeds"):
         simulate(placement, model, trials=10, seed=1)
+    # more sensors than the simulation's points
+    with pytest.raises(ValueError, match="m=3 sensors exceed n=2 points"):
+        simulate(Placement((3,), 3, 3), model, n=2, trials=10, seed=1)
 
 
 def test_decision_table_bound_edges(monkeypatch):
