@@ -32,6 +32,9 @@ from .partitions import MAX_M, enumerate_partitions
 STEP_MIN = 1e-3
 STEP_MAX = 0.1
 
+CSV_BLOCK_NODES = 4096
+"""Nodes per block of :func:`region_csv_text`: its per-node lists stay this short."""
+
 THM41_TOL = 1e-12
 THM42_TOL = 1e-10
 
@@ -93,15 +96,18 @@ class RegionMap:
 
     @classmethod
     def from_pes(
-        cls, m, n, step, region, pf_values, pd_values, partitions, pes: np.ndarray
+        cls, m, n, step, region, pf_values, pd_values, partitions, nodes, pes: np.ndarray
     ) -> RegionMap:
         """Tie-aware argmin of ``pes`` (one row per partition, one column per node).
 
-        The nodes are those of the axis values, cut to p_d >= p_f when
-        ``region`` is ``pd_ge_pf``.
+        ``nodes`` is the ``(i_f, i_d, pf, pd)`` of the axis values that
+        :func:`_nodes` gives, cut to p_d >= p_f when ``region`` is
+        ``pd_ge_pf``. Consumes ``pes`` (see
+        :func:`~placedet.detection.argmin_with_ties`); the map does not keep it.
         """
-        i_f, i_d, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
+        i_f, i_d, pf, pd = nodes
         tie, pe_min, margin, strict = argmin_with_ties(pes)
+        del pes  # a caller that passes its only reference frees P_e here
         return cls(
             m, n, step, region, pf_values, pd_values, partitions,
             i_f, i_d, pf, pd, tie, pe_min, margin, strict, tie.argmax(axis=0),
@@ -195,32 +201,40 @@ def _nodes(pf_values, pd_values, half_plane: bool):
 
 def _region_map(m, n, step, region, pf_values, pd_values, threads) -> RegionMap:
     """Evaluate every partition of m at the map's nodes and take the argmin."""
-    _, _, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
+    nodes = _nodes(pf_values, pd_values, region == "pd_ge_pf")
     parts = enumerate_partitions(m)
-    pes = partition_pes(parts, (n,), pf, pd, threads)[0]
-    return RegionMap.from_pes(m, n, step, region, pf_values, pd_values, parts, pes)
+    return RegionMap.from_pes(
+        m, n, step, region, pf_values, pd_values, parts, nodes,
+        partition_pes(parts, (n,), nodes[2], nodes[3], threads)[0],
+    )
 
 
 def region_csv_text(region_map: RegionMap) -> str:
-    """CSV dump: one row per node, row order = p_d outer / p_f inner ascending."""
+    """CSV dump: one row per node, row order = p_d outer / p_f inner ascending.
+
+    Rows are rendered ``CSV_BLOCK_NODES`` nodes at a time, so apart from the
+    text no per-node list spans the whole map.
+    """
     rm = region_map
     labels = ["-".join(map(str, p)) for p in rm.partitions]
     pf_labels = [f"{float(p):.6g}" for p in rm.pf_values]  # each axis value formatted once
     pd_labels = [f"{float(p):.6g}" for p in rm.pd_values]
-    columns = zip(
-        rm.i_f.tolist(),
-        rm.i_d.tolist(),
-        rm.winner.tolist(),
-        rm.tie.sum(axis=0).tolist(),
-        rm.pe_min.tolist(),
-        rm.margin.tolist(),
-    )
-    lines = ["p_f,p_d,best,tie_count,pe_min,margin"]
-    lines += [
-        f"{pf_labels[i_f]},{pd_labels[i_d]},{labels[w]},{ties},{pe_min!r},{margin!r}"
-        for i_f, i_d, w, ties, pe_min, margin in columns
-    ]
-    return "\n".join(lines) + "\n"
+    blocks = ["p_f,p_d,best,tie_count,pe_min,margin\n"]
+    for lo in range(0, rm.pe_min.size, CSV_BLOCK_NODES):
+        nodes = slice(lo, lo + CSV_BLOCK_NODES)
+        columns = zip(
+            rm.i_f[nodes].tolist(),
+            rm.i_d[nodes].tolist(),
+            rm.winner[nodes].tolist(),
+            rm.tie[:, nodes].sum(axis=0).tolist(),
+            rm.pe_min[nodes].tolist(),
+            rm.margin[nodes].tolist(),
+        )
+        blocks.append("".join([
+            f"{pf_labels[i_f]},{pd_labels[i_d]},{labels[w]},{ties},{pe_min!r},{margin!r}\n"
+            for i_f, i_d, w, ties, pe_min, margin in columns
+        ]))
+    return "".join(blocks)
 
 
 def write_atomic(path: str, text: str) -> None:

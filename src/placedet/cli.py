@@ -27,7 +27,14 @@ from .partitions import enumerate_partitions
 
 SCHEMA_VERSION = "1"
 
-_VERIFY_TARGETS = ("thm41", "thm42", "cor41", "prop51", "counterexample", "conjecture")
+_VERIFY_FLAGS = {  # the value flags each verify target reads; --threads is read by all
+    "thm41": ("max_m", "step"),
+    "thm42": ("m", "n1", "n2", "step"),
+    "cor41": ("m", "step"),
+    "prop51": ("m", "n", "step"),
+    "counterexample": (),
+    "conjecture": ("m", "n", "step"),
+}
 _PROP51_PAIRS = ((3, 3), (3, 4), (4, 4), (4, 5), (5, 6))
 
 
@@ -100,12 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out")
 
     p_ver = sub.add_parser("verify", help="numerical verification of the structural claims")
-    p_ver.add_argument("target", choices=_VERIFY_TARGETS)
+    p_ver.add_argument("target", choices=tuple(_VERIFY_FLAGS))
     p_ver.add_argument("--m", type=int)
     p_ver.add_argument("--n", type=int)
     p_ver.add_argument("--n1", type=int)
     p_ver.add_argument("--n2", type=int)
-    p_ver.add_argument("--max-m", dest="max_m", type=int, default=5)
+    p_ver.add_argument("--max-m", dest="max_m", type=int)
     p_ver.add_argument("--step", type=float)
     p_ver.add_argument("--threads", type=int, default=1)
     p_ver.add_argument("--out")
@@ -117,8 +124,9 @@ def validate(args: argparse.Namespace) -> None:
 
     These are: ``--m`` equals the ``--placement`` total (m is set from it),
     ``--threads >= 1`` (capped at the CPU count; no output depends on it), the
-    ``--ties`` names, and the flags ``verify thm42``, ``conjecture`` and
-    ``prop51`` need. Each rule on values (ranges, m <= n, the sensor bound,
+    ``--ties`` names, the flags ``verify thm42``, ``conjecture`` and
+    ``prop51`` need, and that no ``verify`` target is given a value flag it
+    does not read. Each rule on values (ranges, m <= n, the sensor bound,
     trials, m < n1 < n2) belongs to the library call that refuses it.
     """
     ns = vars(args)  # the namespace's own dict: writes land on args
@@ -135,6 +143,14 @@ def validate(args: argparse.Namespace) -> None:
     if "tie_rule" in ns:
         ns["tie_rule"] = {"uniform": "uniform_random", "lowest": "lowest_index"}[ns["tie_rule"]]
     target = ns.get("target")
+    if target is not None:
+        unread = [
+            "--" + flag.replace("_", "-")
+            for flag in ("m", "n", "n1", "n2", "max_m", "step")
+            if ns[flag] is not None and flag not in _VERIFY_FLAGS[target]
+        ]
+        if unread:
+            raise ValueError(f"verify {target} does not read {', '.join(unread)}")
     if target == "thm42" and None in (ns["m"], ns["n1"], ns["n2"]):
         raise ValueError("verify thm42 requires --m, --n1 and --n2")
     if target == "conjecture" and None in (ns["m"], ns["n"]):
@@ -273,7 +289,8 @@ def _run_verify(args: argparse.Namespace) -> list[analysis.VerificationReport]:
     target = args.target
     step = {} if args.step is None else {"step": args.step}  # else the verifier's default
     if target == "thm41":
-        return [analysis.verify_thm41(m_max=args.max_m, **step)]
+        m_max = {} if args.max_m is None else {"m_max": args.max_m}
+        return [analysis.verify_thm41(**m_max, **step)]
     if target == "thm42":
         return [analysis.verify_thm42(args.m, args.n1, args.n2, **step)]
     if target == "cor41":

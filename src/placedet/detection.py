@@ -64,7 +64,8 @@ WORK_BUDGET = 3_200_000_000
 Work is nodes x (C(m + 3, 3) + rows x count classes summed over placements
 and point counts): each node's slice-table columns plus the entries the
 kernel gathers. It admits ``sweep --m 8 --n 9 --step 0.001 --region full``
-(3.09e9, about 11 s and 490 MiB) and refuses ``verify thm42 --m 20 --n1 21
+(3.09e9; 8-10 s and a 274 MiB resident peak on a shared 2-vCPU host, most of
+it the 22 x 998,001 P_e array) and refuses ``verify thm42 --m 20 --n1 21
 --n2 22`` (3.42e9).
 """
 
@@ -358,9 +359,16 @@ def argmin_with_ties(pes: np.ndarray):
     ``tie[i, g]`` marks partition i within TIE_EPS of the node's minimum
     ``pe_min[g]``; ``margin[g]`` is the gap to the best non-tied partition
     (+inf when none); ``strict[g]`` marks a unique minimiser with positive margin.
+
+    Consumes ``pes``: it is overwritten with the gaps to ``pe_min``, tied
+    entries set to +inf, so no float temporary of its size is made. The
+    margin is the least such gap, the same bits as the least non-tied P_e
+    minus ``pe_min`` because fl(x - c) is monotone in x.
     """
     pe_min = pes.min(axis=0)
-    tie = (pes - pe_min[None, :]) <= TIE_EPS
-    margin = np.where(tie, np.inf, pes).min(axis=0) - pe_min
+    pes -= pe_min
+    tie = pes <= TIE_EPS
+    np.putmask(pes, tie, np.inf)
+    margin = pes.min(axis=0)
     strict = tie.sum(axis=0) == 1  # every non-tied gap, so the margin, exceeds TIE_EPS
     return tie, pe_min, margin, strict

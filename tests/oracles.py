@@ -8,7 +8,8 @@ shares code with the package paths it validates. The region-map oracles walk
 map's per-node arrays. ``pe_exact`` is the one exact reference: rational
 arithmetic, no rounding at all. ``pe_grid_full_table`` is the exception
 that proves a rewrite changed no bits: it repeats the grid kernel's
-arithmetic in its plainest array form.
+arithmetic in its plainest array form, as ``argmin_with_ties_two_temporaries``
+does for the in-place tie pass.
 
 The closed forms at the end (``closed_form_pe2``, the M = 4 region
 inequalities) and ``flip_model`` and ``strict_onset`` are references only
@@ -24,7 +25,7 @@ from operator import attrgetter
 import numpy as np
 
 from placedet import SensorModel
-from placedet.detection import class_table
+from placedet.detection import TIE_EPS, class_table
 from placedet.model import likelihood_columns
 
 Counts = tuple[int, ...]
@@ -234,6 +235,19 @@ def monotone_on_scale_by_cells(region_map, scale, axis: str) -> dict:
             "off_scale_placements": sorted(_label(p) for p in off_scale),
         },
     }
+
+
+def argmin_with_ties_two_temporaries(pes: np.ndarray):
+    """The tie rule in its plainest form, with two P_e-sized temporaries.
+
+    ``(tie, pe_min, margin, strict)`` as ``detection.argmin_with_ties``
+    returns them; ``pes`` is left as it is.
+    """
+    pe_min = pes.min(axis=0)
+    tie = (pes - pe_min[None, :]) <= TIE_EPS
+    margin = np.where(tie, np.inf, pes).min(axis=0) - pe_min
+    strict = tie.sum(axis=0) == 1
+    return tie, pe_min, margin, strict
 
 
 def region_csv_by_cells(region_map) -> str:

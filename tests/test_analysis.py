@@ -410,7 +410,9 @@ def test_conjecture_chain_reports_uncovered_ties():
     pes[at[(2, 2, 2, 1)], 0] = 0.5
     pes[[at[(4, 1, 1, 1)], at[(3, 3, 1)]], 1] = 0.5
     pes[[at[(3, 3, 1)], at[(3, 2, 2)]], 2] = 0.5
-    region_map = RegionMap.from_pes(7, 7, None, "window", (0.1, 0.2, 0.3), (0.9,), parts, pes)
+    pf_axis, pd_axis = (0.1, 0.2, 0.3), (0.9,)
+    nodes = _nodes(pf_axis, pd_axis, half_plane=False)
+    region_map = RegionMap.from_pes(7, 7, None, "window", pf_axis, pd_axis, parts, nodes, pes)
     report = check_conjecture_chain(region_map)
     assert not report.passed and report.checked == 3
     assert report.counterexamples == (
@@ -445,12 +447,15 @@ def test_region_map_frees_power_table_before_argmin(monkeypatch):
 
 
 def _capture_pes(monkeypatch) -> list:
-    """Patch ``RegionMap.from_pes`` to record the P_e array of each map built."""
+    """Patch ``RegionMap.from_pes`` to record a copy of the P_e array of each map built.
+
+    ``from_pes`` consumes the array it is given, so the copy is taken first.
+    """
     captured = []
     from_pes = RegionMap.from_pes.__func__
 
     def capture(cls, *args):
-        captured.append(args[-1])
+        captured.append(args[-1].copy())
         return from_pes(cls, *args)
 
     monkeypatch.setattr(RegionMap, "from_pes", classmethod(capture))
@@ -481,6 +486,28 @@ def test_kernel_peak_of_a_map_does_not_grow_with_nodes(monkeypatch):
             tracemalloc.stop()
     assert sizes == [3_600, 14_400]
     assert peaks[1] - peaks[0] < 64 * (sizes[1] - sizes[0]), peaks
+
+
+def test_map_peak_holds_one_pe_array():
+    # The tie pass works in P_e's own storage and the node arrays are built
+    # once, so a map's peak is P_e, the tie mask and the node arrays plus the
+    # kernel's slice temporaries (a slice table and two gathers of its size).
+    # Two P_e-sized temporaries in the tie pass and a second node pass added
+    # about 3.2 MB here.
+    axis = tuple(np.linspace(0.01, 0.99, 120))
+    nodes = len(axis) ** 2
+    parts = len(enumerate_partitions(8))
+    held = parts * nodes * 8 + parts * nodes + 4 * nodes * 8  # pes, tie, i_f/i_d/pf/pd
+    slack = 3 * detection.GRID_CHUNK_ENTRIES * 8
+    sweep_window(8, 8, axis[:2], axis[:2])  # caches and imports outside the trace
+    tracemalloc.start()
+    try:
+        sweep_window(8, 8, axis, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes == 14_400
+    assert peak < held + slack, (peak, held)
 
 
 def test_map_walk_builds_each_class_table_once(monkeypatch):

@@ -295,6 +295,27 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert payload["pass"] is False
 
 
+def test_verify_passes_only_the_flags_given(capsys, monkeypatch):
+    # each verifier owns its defaults; --threads is taken by every target
+    from placedet import analysis
+
+    seen = []
+    report = analysis.VerificationReport("claim", 1, 0.0, (), True)
+
+    def record(**kwargs):
+        seen.append(kwargs)
+        return report
+
+    monkeypatch.setattr(analysis, "verify_thm41", record)
+    monkeypatch.setattr(analysis, "verify_counterexample", record)
+    assert main(["verify", "thm41"]) == 0
+    assert main(["verify", "thm41", "--max-m", "6", "--threads", "2"]) == 0
+    assert main(["verify", "counterexample", "--threads", "2"]) == 0
+    capsys.readouterr()
+    assert seen[:2] == [{}, {"m_max": 6}]
+    assert seen[2].keys() == {"threads"}
+
+
 @pytest.mark.parametrize(
     "fault", [MemoryError("Unable to allocate 9.00 GiB"), RuntimeError("boom\nsecond line")]
 )
@@ -328,6 +349,8 @@ def test_unexpected_fault_exits_two_with_one_line(capsys, monkeypatch, fault):
         ("verify", "thm43"),
         (),
         ("pe", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "2-x"),
+        ("verify", "counterexample", "--step", "0.5", "--m", "9"),
+        ("verify", "thm41", "--m", "9"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -350,7 +373,10 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch, cpus, threads, expecte
 
     def fake_sweep(m, n, step, region, threads):
         seen.append(threads)
-        return analysis.RegionMap.from_pes(m, n, step, region, (), (), ((m,),), np.empty((1, 0)))
+        nodes = analysis._nodes((), (), half_plane=False)
+        return analysis.RegionMap.from_pes(
+            m, n, step, region, (), (), ((m,),), nodes, np.empty((1, 0))
+        )
 
     def fake_simulate(placement, model, n, trials, seed, tie_rule, threads):
         seen.append(threads)

@@ -23,10 +23,11 @@ from placedet import (
 )
 from placedet import detection
 from placedet.analysis import COUNTEREXAMPLE_PROBES, grid_values, sweep_window
-from placedet.detection import class_count, class_table
+from placedet.detection import TIE_EPS, argmin_with_ties, class_count, class_table
 from placedet.model import block_columns, likelihood_columns, power_table, slice_table
 
 from oracles import (
+    argmin_with_ties_two_temporaries,
     closed_form_pe2,
     flip_model,
     pe_exact,
@@ -365,6 +366,52 @@ def test_node_bits_do_not_depend_on_grid(monkeypatch):
                 scalar = error_probability(placement, SensorModel(pd[g], pf[g]), n).value
                 assert all(grid[g] == alone for grid in grids), (counts, g)
                 assert pair == alone and scalar == alone and shared_alone == alone, (counts, g)
+
+
+def _tie_pass_cases():
+    """(name, pes) arrays with ties, near-ties and degenerate shapes planted."""
+    rng = np.random.default_rng(15)
+    below, above = np.nextafter(TIE_EPS, 0.0), np.nextafter(TIE_EPS, 1.0)
+    pes = rng.uniform(0.05, 0.5, (22, 64))
+    # gaps of exactly TIE_EPS and one ulp either side: x + gap and
+    # (x + gap) - x are exact for x = 0 and x = 2^-30
+    for g, gap in enumerate((below, TIE_EPS, above)):
+        for x, node in ((0.0, g), (2.0**-30, 3 + g)):
+            pes[:, node] = 0.5
+            pes[4, node], pes[9, node] = x, x + gap
+    pes[:, 6] = 0.3  # all tied: margin +inf, not strict
+    pes[[2, 7, 11], 7] = 0.01  # an exact three-way tie
+    pes[5, 8] = pes[:, 8].min() - TIE_EPS / 4  # a tie inside TIE_EPS
+    pes[:, 9] = np.linspace(0.1, 0.1 + 21e-10, 22)  # a chain of 1e-10 steps
+    # the rounded gap decides: fl(fl(0.3 + TIE_EPS) - 0.3) exceeds TIE_EPS
+    pes[:, 10] = 0.5
+    pes[4, 10], pes[9, 10] = 0.3, 0.3 + TIE_EPS
+    yield "planted", pes
+    yield "random", rng.random((15, 500))
+    yield "single_partition", rng.random((1, 40))
+    yield "single_node", rng.random((22, 1))
+    yield "single_tied_node", np.full((7, 1), 0.25)
+
+
+TIE_PASS_CASES = dict(_tie_pass_cases())
+
+
+@pytest.mark.parametrize("name", TIE_PASS_CASES)
+def test_in_place_tie_pass_matches_two_temporary_formula(name):
+    # the tie pass overwrites P_e with the gaps instead of allocating two
+    # arrays of its size; every output keeps the old formula's bits
+    pes = TIE_PASS_CASES[name]
+    expected = argmin_with_ties_two_temporaries(pes)
+    got = argmin_with_ties(pes.copy())
+    for want, have in zip(expected, got):
+        assert want.dtype == have.dtype and want.shape == have.shape, name
+        assert want.tobytes() == have.tobytes(), name
+    if name == "planted":
+        tie, _, margin, strict = got
+        assert tie[9, [0, 1, 3, 4]].all() and not tie[9, [2, 5, 10]].any()
+        assert margin[6] == np.inf and not strict[6]
+    if name == "single_partition":
+        assert got[0].all() and got[3].all() and np.isinf(got[2]).all()
 
 
 def test_optimum_matches_region_map_cell():
