@@ -3,9 +3,9 @@
 A region map evaluates the brute-force optimum at every node of a regular
 grid over the unit square (by default restricted to the p_d >= p_f half where
 sensors are better than chance). The map is a set of per-node arrays (the
-minimum, the full tie set, the margin and strictness); ``RegionMap.cells``
-builds one :class:`RegionCell` per node only when read. Tie nodes keep their
-full tie set; nothing is ever broken silently. On top of the maps sit
+minimum, the full tie set, the margin and strictness); the CSV and JSON
+writers render them a block of nodes at a time. Tie nodes keep their full
+tie set; nothing is ever broken silently. On top of the maps sit
 numerical verifiers for the structural claims, all reading the arrays:
 uniform placement is never the unique optimum when m = n, scaled P_e
 differences are invariant in the point count, adding one extra point
@@ -16,6 +16,7 @@ that monotonicity fails for (m, n) = (7, 8).
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -33,7 +34,7 @@ STEP_MIN = 1e-3
 STEP_MAX = 0.1
 
 CSV_BLOCK_NODES = 4096
-"""Nodes per block of :func:`region_csv_text`: its per-node lists stay this short."""
+"""Nodes per block of the CSV and JSON writers: their per-node lists stay this short."""
 
 THM41_TOL = 1e-12
 THM42_TOL = 1e-10
@@ -237,12 +238,40 @@ def region_csv_text(region_map: RegionMap) -> str:
     return "".join(blocks)
 
 
+def region_json_text(region_map: RegionMap, schema_version: str) -> str:
+    """JSON dump with every tie set, in blocks like the CSV; an inf margin reads ``"inf"``."""
+    rm = region_map
+    labels = ["-".join(map(str, p)) for p in rm.partitions]
+    blocks = []
+    for lo in range(0, rm.pe_min.size, CSV_BLOCK_NODES):
+        nodes = slice(lo, lo + CSV_BLOCK_NODES)
+        best = [[] for _ in range(rm.pe_min[nodes].size)]
+        for g, i in np.argwhere(rm.tie[:, nodes].T).tolist():  # node-major: partitions ascending
+            best[g].append(labels[i])
+        columns = zip(rm.pf[nodes].tolist(), rm.pd[nodes].tolist(), best, rm.pe_min[nodes].tolist(),
+                      rm.margin[nodes].tolist(), rm.strict[nodes].tolist())
+        cells = [
+            {"p_f": f, "p_d": d, "best": b, "pe_min": pe,
+             "margin": mg if math.isfinite(mg) else repr(mg), "strict": s}
+            for f, d, b, pe, mg, s in columns
+        ]
+        # the items without the list's brackets, indented into the envelope's list and led
+        # by the comma after the block before, so one join copies the text once
+        blocks.append("," * (lo > 0) + json.dumps(cells, indent=2)[1:-2].replace("\n", "\n  "))
+    envelope = {"schema_version": schema_version, "m": rm.m, "n": rm.n, "step": rm.step}
+    head, _, tail = json.dumps({**envelope, "cells": []}, indent=2).rpartition("[]")
+    return "".join([head, "[", *blocks, "\n  ]" if blocks else "]", tail, "\n"])
+
+
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename; mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")  # mode 0o600
+    umask = os.umask(0o22)  # setting the umask is the only way to read it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -387,7 +416,7 @@ def verify_cor41(m: int, step: float = 0.01, threads: int = 1) -> VerificationRe
     passed = not counterexamples
     return VerificationReport(
         claim="strict-set-grows-by-uniform",
-        checked=len(base.cells) + len(extra.cells),
+        checked=base.pe_min.size + extra.pe_min.size,
         max_violation=float(len(missing) + len(surplus)),
         counterexamples=tuple(counterexamples),
         passed=passed,
@@ -527,7 +556,7 @@ def verify_counterexample(threads: int = 1) -> VerificationReport:
     passed = not mismatches and found_both
     return VerificationReport(
         claim="monotone-on-scale-fails-for-7-sensors-8-points",
-        checked=len(COUNTEREXAMPLE_PROBES) + len(window.cells),
+        checked=len(COUNTEREXAMPLE_PROBES) + window.pe_min.size,
         max_violation=float(len(mismatches)),
         counterexamples=tuple(mismatches),
         passed=passed,
@@ -552,16 +581,9 @@ def check_conjecture_chain(region_map: RegionMap) -> VerificationReport:
     if not ok:
         return VerificationReport(
             claim="optimal-chain-exists",
-            checked=len(region_map.cells),
+            checked=region_map.pe_min.size,
             max_violation=1.0,
-            counterexamples=(
-                {
-                    "incomparable_strict_pair": [
-                        "-".join(map(str, pair[0])),
-                        "-".join(map(str, pair[1])),
-                    ]
-                },
-            ),
+            counterexamples=({"incomparable_strict_pair": ["-".join(map(str, p)) for p in pair]},),
             passed=False,
             notes={"strict_set": ["-".join(map(str, p)) for p in strict]},
         )
@@ -593,7 +615,7 @@ def check_conjecture_chain(region_map: RegionMap) -> VerificationReport:
     chain = chain_sort(sorted(chosen)) if chosen else PlacementScale(members=())
     return VerificationReport(
         claim="optimal-chain-exists",
-        checked=len(region_map.cells),
+        checked=region_map.pe_min.size,
         max_violation=float(len(uncovered)),
         counterexamples=tuple(uncovered),
         passed=passed,

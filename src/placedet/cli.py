@@ -226,21 +226,7 @@ def dispatch(args: argparse.Namespace) -> int:
         if args.fmt == "csv":
             _emit(analysis.region_csv_text(region_map), args.out)
         else:
-            cells = [
-                {
-                    "p_f": c.p_f,
-                    "p_d": c.p_d,
-                    "best": ["-".join(map(str, b)) for b in c.best],
-                    "pe_min": c.pe_min,
-                    "margin": c.margin,
-                    "strict": c.strict,
-                }
-                for c in region_map.cells
-            ]
-            _emit_json(
-                {"m": args.m, "n": args.n, "step": args.step, "cells": cells},
-                args.out,
-            )
+            _emit(analysis.region_json_text(region_map, SCHEMA_VERSION), args.out)
         return 0
 
     if args.subcommand == "simulate":

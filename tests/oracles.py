@@ -18,6 +18,8 @@ the tests read; the acceptance tests compare the package against them.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -248,6 +250,36 @@ def argmin_with_ties_two_temporaries(pes: np.ndarray):
     margin = np.where(tie, np.inf, pes).min(axis=0) - pe_min
     strict = tie.sum(axis=0) == 1
     return tie, pe_min, margin, strict
+
+
+def region_json_by_cells(region_map, schema_version: str) -> str:
+    """Sweep JSON from one dict per cell, dumped in one piece.
+
+    Non-finite floats are written as their ``repr`` strings, since JSON has
+    no infinity.
+    """
+    def finite(x: float):
+        return x if math.isfinite(x) else repr(x)
+
+    cells = [
+        {
+            "p_f": finite(cell.p_f),
+            "p_d": finite(cell.p_d),
+            "best": [_label(b) for b in cell.best],
+            "pe_min": finite(cell.pe_min),
+            "margin": finite(cell.margin),
+            "strict": cell.strict,
+        }
+        for cell in region_map.cells
+    ]
+    body = {
+        "schema_version": schema_version,
+        "m": region_map.m,
+        "n": region_map.n,
+        "step": region_map.step,
+        "cells": cells,
+    }
+    return json.dumps(body, indent=2) + "\n"
 
 
 def region_csv_by_cells(region_map) -> str:

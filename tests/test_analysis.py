@@ -12,6 +12,7 @@ from oracles import (
     monotone_on_scale_by_cells,
     pe_grid_full_table,
     region_csv_by_cells,
+    region_json_by_cells,
     region_predicate_m4,
     strict_onset,
 )
@@ -39,6 +40,7 @@ from placedet.analysis import (
     full_partition_scale,
     grid_values,
     region_csv_text,
+    region_json_text,
 )
 from placedet import detection
 from placedet.detection import class_count, class_table, error_probability_grid, partition_pes
@@ -367,6 +369,7 @@ def test_array_paths_match_per_cell_oracles(case):
         assert json.dumps(report) == json.dumps(monotone_on_scale_by_cells(region_map, scale, axis))
         reports[axis] = report
     assert region_csv_text(region_map) == region_csv_by_cells(region_map)
+    assert region_json_text(region_map, "1") == region_json_by_cells(region_map, "1")
     if case == "window_m7n8":
         assert all(r["counterexamples"] for r in reports.values())
     if case == "m5n6_two_member_scale":
@@ -595,6 +598,8 @@ def test_csv_labels_equal_per_node_formatting():
         sweep_plane(4, 5, 0.01),
         sweep_window(7, 8, *WINDOW_AXES),
         sweep_window(3, 4, tuple(np.linspace(0.0, 1.0, 7)), (0.25, 1, 0.999999949)),
+        sweep_window(3, 4, (), (0.5,)),  # no nodes: the JSON list is "[]"
     ]
     for region_map in maps:
         assert region_csv_text(region_map) == region_csv_by_cells(region_map)
+        assert region_json_text(region_map, "1") == region_json_by_cells(region_map, "1")

@@ -128,6 +128,18 @@ def test_sweep_writes_csv_atomically(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)], ids=["022", "002"])
+def test_out_file_gets_the_mode_of_a_plain_create(tmp_path, capsys, umask, mode):
+    out = tmp_path / "map.csv"
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "sweep", "--m", "2", "--n", "2", "--step", "0.1", "--out", str(out))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert out.stat().st_mode & 0o777 == mode
+
+
 def test_out_write_failure_is_one_line_naming_the_path(tmp_path, capsys):
     # a missing directory fails before the temp file exists, a directory as
     # the target after it is written beside it; neither leaves a file behind
@@ -396,6 +408,8 @@ GOLDEN_SWEEPS = (
     (("--m", "8", "--n", "9", "--step", "0.01"), "c40e60eb99d7bafa"),
     (("--m", "7", "--n", "8", "--step", "0.005", "--threads", "2"), "a04fc78e2d07d2cb"),
     (("--m", "4", "--n", "4", "--step", "0.005", "--region", "full"), "8de4a9c6c09738ab"),
+    (("--m", "4", "--n", "4", "--step", "0.02", "--region", "full", "--format", "json"),
+     "acbeb750bc7f5b9d"),
 )
 
 
