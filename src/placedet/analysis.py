@@ -151,16 +151,21 @@ class RegionCells(Sequence):
 
 
 def grid_values(step: float) -> tuple[float, ...]:
-    """Grid nodes k*step for k = 1 .. round(1/step) - 1 (covers [step, 1-step])."""
-    if not STEP_MIN <= step <= STEP_MAX:
+    """Grid nodes k*step for k = 1 .. round(1/step) - 1 (covers [step, 1-step]).
+
+    ``STEP_MIN`` bounds the node count, so a finer step is refused as a
+    budget (:class:`BudgetError`); a step above ``STEP_MAX``, or NaN, is a
+    bad value (``ValueError``).
+    """
+    if step < STEP_MIN:
         raise BudgetError(f"step {step} outside [{STEP_MIN}, {STEP_MAX}]")
+    if not step <= STEP_MAX:  # NaN fails this too
+        raise ValueError(f"step {step} outside [{STEP_MIN}, {STEP_MAX}]")
     top = round(1.0 / step) - 1
     return tuple(k * step for k in range(1, top + 1))
 
 
-def sweep_plane(
-    m: int, n: int, step: float, region: str = "pd_ge_pf", threads: int = 1
-) -> RegionMap:
+def sweep_plane(m: int, n: int, step: float, region: str = "pd_ge_pf") -> RegionMap:
     """Brute-force optimum at every grid node.
 
     ``region`` is ``pd_ge_pf`` (default, the half-plane the structural
@@ -173,18 +178,14 @@ def sweep_plane(
     if region not in ("pd_ge_pf", "full"):
         raise ValueError(f"unknown region {region!r}")
     values = grid_values(step)
-    return _region_map(m, n, step, region, values, values, threads)
+    return _region_map(m, n, step, region, values, values)
 
 
 def sweep_window(
-    m: int,
-    n: int,
-    pf_values: tuple[float, ...],
-    pd_values: tuple[float, ...],
-    threads: int = 1,
+    m: int, n: int, pf_values: tuple[float, ...], pd_values: tuple[float, ...]
 ) -> RegionMap:
     """Region map over an explicit rectangle of axis values (no half-plane cut)."""
-    return _region_map(m, n, None, "window", tuple(pf_values), tuple(pd_values), threads)
+    return _region_map(m, n, None, "window", tuple(pf_values), tuple(pd_values))
 
 
 def _nodes(pf_values, pd_values, half_plane: bool):
@@ -200,13 +201,13 @@ def _nodes(pf_values, pd_values, half_plane: bool):
     return i_f, i_d, pf_axis[i_f], pd_axis[i_d]
 
 
-def _region_map(m, n, step, region, pf_values, pd_values, threads) -> RegionMap:
+def _region_map(m, n, step, region, pf_values, pd_values) -> RegionMap:
     """Evaluate every partition of m at the map's nodes and take the argmin."""
     nodes = _nodes(pf_values, pd_values, region == "pd_ge_pf")
     parts = enumerate_partitions(m)
     return RegionMap.from_pes(
         m, n, step, region, pf_values, pd_values, parts, nodes,
-        partition_pes(parts, (n,), nodes[2], nodes[3], threads)[0],
+        partition_pes(parts, (n,), nodes[2], nodes[3])[0],
     )
 
 
@@ -264,7 +265,11 @@ def region_json_text(region_map: RegionMap, schema_version: str) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename; mode 0o666 less the umask."""
+    """Write via a temp file in the target directory, then rename; mode 0o666 less the umask.
+
+    The text goes out in slices of 1 MiB characters, so no encoded copy of
+    the whole text is made.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")  # mode 0o600
     umask = os.umask(0o22)  # setting the umask is the only way to read it
@@ -272,7 +277,8 @@ def write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             os.fchmod(fd, 0o666 & ~umask)
-            handle.write(text)
+            for lo in range(0, len(text), 1 << 20):
+                handle.write(text[lo : lo + (1 << 20)])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -389,7 +395,7 @@ def verify_thm42(m: int, n1: int, n2: int, step: float = 0.05) -> VerificationRe
     )
 
 
-def verify_cor41(m: int, step: float = 0.01, threads: int = 1) -> VerificationReport:
+def verify_cor41(m: int, step: float = 0.01) -> VerificationReport:
     """Adding one empty point enlarges the strict-optimal set by exactly uniform.
 
     Sweeps (m, m) and (m, m+1) and compares strict-optimal inventories:
@@ -398,8 +404,8 @@ def verify_cor41(m: int, step: float = 0.01, threads: int = 1) -> VerificationRe
     """
     if m > 5:
         raise ValueError(f"strict-set growth check supported for m <= 5, got m={m}")
-    base = sweep_plane(m, m, step, threads=threads)
-    extra = sweep_plane(m, m + 1, step, threads=threads)
+    base = sweep_plane(m, m, step)
+    extra = sweep_plane(m, m + 1, step)
     strict_base = base.strict_placements()
     strict_extra = extra.strict_placements()
     uniform = (1,) * m
@@ -492,12 +498,10 @@ def full_partition_scale(m: int) -> PlacementScale:
     return chain_sort(enumerate_partitions(m))
 
 
-def verify_prop51(
-    m: int, n: int, step: float = 0.01, threads: int = 1
-) -> VerificationReport:
+def verify_prop51(m: int, n: int, step: float = 0.01) -> VerificationReport:
     """Monotone-on-scale check on both axes for one (m, n) map, m <= 5."""
     scale = full_partition_scale(m)
-    region_map = sweep_plane(m, n, step, threads=threads)
+    region_map = sweep_plane(m, n, step)
     by_pf = check_monotone_on_scale(region_map, scale, "increasing_pf")
     by_pd = check_monotone_on_scale(region_map, scale, "increasing_pd")
     return VerificationReport(
@@ -522,7 +526,7 @@ COUNTEREXAMPLE_PROBES: tuple[tuple[float, float, Counts], ...] = (
 )
 
 
-def verify_counterexample(threads: int = 1) -> VerificationReport:
+def verify_counterexample() -> VerificationReport:
     """Monotone-on-scale fails for seven sensors on eight points.
 
     Reproduces the three probe optima at (p_f, p_d) in
@@ -548,7 +552,7 @@ def verify_counterexample(threads: int = 1) -> VerificationReport:
             )
     pf_axis = tuple(0.46 + 0.01 * i for i in range(3))
     pd_axis = tuple(0.50 + 0.01 * i for i in range(11))
-    window = sweep_window(m, n, pf_axis, pd_axis, threads=threads)
+    window = sweep_window(m, n, pf_axis, pd_axis)
     scale = chain_sort([(3, 2, 1, 1), (2, 2, 2, 1)])
     by_pf = check_monotone_on_scale(window, scale, "increasing_pf")
     by_pd = check_monotone_on_scale(window, scale, "increasing_pd")

@@ -27,7 +27,7 @@ from .partitions import enumerate_partitions
 
 SCHEMA_VERSION = "1"
 
-_VERIFY_FLAGS = {  # the value flags each verify target reads; --threads is read by all
+_VERIFY_FLAGS = {  # the value flags each verify target reads; --threads is accepted, not read
     "thm41": ("max_m", "step"),
     "thm42": ("m", "n1", "n2", "step"),
     "cor41": ("m", "step"),
@@ -123,7 +123,8 @@ def validate(args: argparse.Namespace) -> None:
     """Apply the rules only the command line knows, in place; raise ``ValueError``.
 
     These are: ``--m`` equals the ``--placement`` total (m is set from it),
-    ``--threads >= 1`` (capped at the CPU count; no output depends on it), the
+    ``--threads >= 1`` (capped at the CPU count; ``sweep`` and ``verify``
+    accept it, only ``simulate`` uses it, and no output depends on it), the
     ``--ties`` names, the flags ``verify thm42``, ``conjecture`` and
     ``prop51`` need, and that no ``verify`` target is given a value flag it
     does not read. Each rule on values (ranges, m <= n, the sensor bound,
@@ -220,9 +221,7 @@ def dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "sweep":
-        region_map = analysis.sweep_plane(
-            args.m, args.n, args.step, region=args.region, threads=args.threads
-        )
+        region_map = analysis.sweep_plane(args.m, args.n, args.step, region=args.region)
         if args.fmt == "csv":
             _emit(analysis.region_csv_text(region_map), args.out)
         else:
@@ -281,19 +280,14 @@ def _run_verify(args: argparse.Namespace) -> list[analysis.VerificationReport]:
         return [analysis.verify_thm42(args.m, args.n1, args.n2, **step)]
     if target == "cor41":
         m = 3 if args.m is None else args.m
-        return [analysis.verify_cor41(m, threads=args.threads, **step)]
+        return [analysis.verify_cor41(m, **step)]
     if target == "prop51":
         pairs = _PROP51_PAIRS if args.m is None else ((args.m, args.n),)
-        return [
-            analysis.verify_prop51(m, n, threads=args.threads, **step)
-            for m, n in pairs
-        ]
+        return [analysis.verify_prop51(m, n, **step) for m, n in pairs]
     if target == "counterexample":
-        return [analysis.verify_counterexample(threads=args.threads)]
+        return [analysis.verify_counterexample()]
     if target == "conjecture":
-        region_map = analysis.sweep_plane(
-            args.m, args.n, 0.01 if args.step is None else args.step, threads=args.threads
-        )
+        region_map = analysis.sweep_plane(args.m, args.n, 0.01 if args.step is None else args.step)
         return [analysis.check_conjecture_chain(region_map)]
     raise AssertionError(f"unhandled verify target {target}")
 

@@ -22,8 +22,8 @@ before any table it refuses placements of more than
 :data:`WORK_BUDGET` (:class:`BudgetError`). S adds the occupied rows
 once each and the shared empty-point row n - k times, then the classes, in
 a fixed order, so a node's P_e bits do not depend on the grid or window
-around it, the slice width, the other placements or the thread count:
-``pe``, ``optimal`` and sweeps agree bit for bit.
+around it, the slice width or the other placements: ``pe``, ``optimal``
+and sweeps agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -143,7 +142,7 @@ def error_probability(
     return ErrorProbability(value=float(value), placement=placement, model=model, n=n)
 
 
-def partition_pes(parts, n_values, pf, pd, threads=1) -> np.ndarray:
+def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
     """P_e of placements of one m at each point count: (n_values, parts, nodes).
 
     ``parts`` are canonical count tuples of the same m, at most ``MAX_M``,
@@ -151,9 +150,10 @@ def partition_pes(parts, n_values, pf, pd, threads=1) -> np.ndarray:
     in ``n_values`` at least m, and the call's work within
     :data:`WORK_BUDGET`; all of this is checked once, before any table is
     built. Node slices of :func:`slice_width` nodes run in the outer
-    loop, split over ``threads`` workers. Each slice builds one
-    :func:`slice_table`, which every placement and point count reads
-    through :func:`error_probability_grid`, so no table spans the whole grid.
+    loop. Each slice builds one :func:`slice_table`, which every placement
+    and point count reads through :func:`error_probability_grid`, so no
+    table spans the whole grid. One placement's P_e at one n is
+    ``partition_pes((counts,), (n,), pf, pd)[0, 0]``.
     """
     m = sum(parts[0])
     for n in n_values:
@@ -177,22 +177,14 @@ def partition_pes(parts, n_values, pf, pd, threads=1) -> np.ndarray:
         )
     pes = np.empty((len(n_values), len(parts), pf.size))
     width = slice_width(columns, max(classes))
-
-    def run(lo: int) -> None:
+    for lo in range(0, pf.size, width):
         nodes = slice(lo, lo + width)
         f, d = pf[nodes], pd[nodes]
         table = slice_table(f, d, m)
         for j, n in enumerate(n_values):
             for i, counts in enumerate(parts):
                 pes[j, i, nodes] = error_probability_grid(counts, n, f, d, table=table)
-
-    starts = range(0, pf.size, width)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
+        del table  # so the next slice's table is not built beside this one
     return pes
 
 
@@ -202,22 +194,17 @@ def error_probability_grid(
     pf: np.ndarray,
     pd: np.ndarray,
     *,
-    table: np.ndarray | None = None,
+    table: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized P_e for one canonical placement at many (p_f, p_d) points.
+    """P_e of one canonical placement at one node slice: the kernel of :func:`partition_pes`.
 
-    ``pf`` and ``pd`` are equal-length 1-D arrays of values in [0, 1];
-    returns the matching P_e array. Without ``table`` this is
-    :func:`partition_pes` of the one placement, which checks the nodes and
-    n and walks them in slices. ``table`` is a :func:`slice_table` of the
-    same nodes and m = ``sum(counts)``, taken as one slice: only its shape
-    is checked, and the kernel gathers each row's columns from it into S
-    and the running max. A node's value does not depend on the other
-    nodes, the slice width, the table or the thread count: alone it gets
-    the same bits.
+    ``pf`` and ``pd`` are the slice's equal-length 1-D arrays, and
+    ``table`` is their :func:`slice_table` for m = ``sum(counts)``. Only its
+    shape is checked (the nodes and n are :func:`partition_pes`'s to
+    check), and the kernel gathers each row's columns from it into S and
+    the running max. A node's value does not depend on the other nodes of
+    the slice: alone it gets the same bits.
     """
-    if table is None:
-        return partition_pes((counts,), (n,), pf, pd)[0, 0]
     size = np.size(pf)
     if np.shape(table) != (likelihood_columns(sum(counts)).shape[1], size):
         raise ValueError(f"table must be a slice_table of these {size} nodes for m={sum(counts)}")

@@ -16,7 +16,6 @@ from placedet import (
     check_monotone_on_scale,
     enumerate_partitions,
     error_probability,
-    error_probability_grid,
     optimal_placements,
     partition_count,
     simulate,
@@ -27,6 +26,7 @@ from placedet import (
     verify_thm42,
 )
 from placedet.analysis import grid_values, region_csv_text
+from placedet.detection import partition_pes
 
 from oracles import (
     M4_PLACEMENTS,
@@ -94,9 +94,8 @@ def test_criterion_03_uniform_never_beats_doubled():
         for m in (2, 3, 4, 5):
             uniform = (1,) * m
             doubled = (2,) + (1,) * (m - 2)
-            diff = error_probability_grid(uniform, m, pf, pd) - error_probability_grid(
-                doubled, m, pf, pd
-            )
+            pe_uni, pe_two = partition_pes((uniform, doubled), (m,), pf, pd)[0]
+            diff = pe_uni - pe_two
             assert diff.min() >= -1e-12
             equal_cells = np.nonzero(np.abs(diff) <= 1e-12)[0]
             assert equal_cells.size > 0

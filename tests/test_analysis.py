@@ -41,9 +41,10 @@ from placedet.analysis import (
     grid_values,
     region_csv_text,
     region_json_text,
+    write_atomic,
 )
 from placedet import detection
-from placedet.detection import class_count, class_table, error_probability_grid, partition_pes
+from placedet.detection import class_count, class_table, partition_pes
 from placedet.partitions import MAX_M, enumerate_partitions
 
 
@@ -54,8 +55,9 @@ def test_grid_values_cover_open_interval():
     assert values[-1] == pytest.approx(0.98)
     with pytest.raises(BudgetError):
         grid_values(0.0001)
-    with pytest.raises(BudgetError):
-        grid_values(0.2)
+    for coarse in (0.2, math.nan):  # a bad value, not a budget
+        with pytest.raises(ValueError):
+            grid_values(coarse)
 
 
 def test_sweep_budget_refusal_names_cost():
@@ -548,7 +550,7 @@ def test_optimal_chain_holds_to_m8_and_breaks_at_m9(m, n):
     # 0.01 the strict optima form one majorization chain for m = 8, and at
     # m = 9 two incomparable placements each win strictly somewhere
     values = grid_values(0.01)
-    report = check_conjecture_chain(_region_map(m, n, 0.01, "pd_ge_pf", values, values, 1))
+    report = check_conjecture_chain(_region_map(m, n, 0.01, "pd_ge_pf", values, values))
     if m == 8:
         assert report.passed and not report.counterexamples
     else:
@@ -563,9 +565,9 @@ WINDOW_AXES = (tuple(0.46 + 0.01 * i for i in range(5)), tuple(0.5 + 0.01 * i fo
 
 def test_region_map_pes_match_standalone_kernel_and_oracle(monkeypatch):
     # A map's shared slice tables give every partition the bits of its own
-    # standalone kernel call and of the full-table oracle: on the half
-    # plane, on a window, and at two threads over 7-node slices (the last
-    # of the 190 nodes is a lone slice).
+    # standalone partition_pes call and of the full-table oracle: on the
+    # half plane, on a window, and over 7-node slices (the last of the 190
+    # nodes is a lone slice).
     captured = _capture_pes(monkeypatch)
     default = detection.GRID_CHUNK_ENTRIES
     for m in range(1, 9):
@@ -574,7 +576,7 @@ def test_region_map_pes_match_standalone_kernel_and_oracle(monkeypatch):
         builds = (
             (default, lambda n: sweep_plane(m, n, 0.05)),
             (default, lambda n: sweep_window(m, n, *WINDOW_AXES)),
-            (7 * per_node, lambda n: sweep_plane(m, n, 0.05, threads=2)),
+            (7 * per_node, lambda n: sweep_plane(m, n, 0.05)),
         )
         for n in (m, m + 1, m + 3):
             for entries, build in builds:
@@ -586,7 +588,8 @@ def test_region_map_pes_match_standalone_kernel_and_oracle(monkeypatch):
                 assert pes.shape == (len(parts), pf.size)
                 for i, counts in enumerate(region_map.partitions):
                     oracle = pe_grid_full_table(counts, n, pf, pd)
-                    assert np.array_equal(pes[i], error_probability_grid(counts, n, pf, pd))
+                    alone = partition_pes((counts,), (n,), pf, pd)[0, 0]
+                    assert np.array_equal(pes[i], alone)
                     assert np.array_equal(pes[i], oracle), (m, n, counts)
 
 
@@ -603,3 +606,17 @@ def test_csv_labels_equal_per_node_formatting():
     for region_map in maps:
         assert region_csv_text(region_map) == region_csv_by_cells(region_map)
         assert region_json_text(region_map, "1") == region_json_by_cells(region_map, "1")
+
+
+def test_write_atomic_peaks_below_the_text(tmp_path):
+    # the text goes out in 1 MiB slices, so no encoded copy of all of it is made
+    text = "0.123456789,0.5\n" * (1 << 20)  # 16 MiB
+    path = tmp_path / "map.csv"
+    tracemalloc.start()
+    try:
+        write_atomic(str(path), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert path.read_text() == text

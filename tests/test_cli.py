@@ -176,6 +176,17 @@ def test_sweep_budget_refusal(capsys):
 
 
 @pytest.mark.parametrize(
+    "step, prefix", [("0.0001", "refused: "), ("0.5", "error: "), ("nan", "error: ")]
+)
+def test_sweep_step_refusal_names_its_class(capsys, step, prefix):
+    # a step below STEP_MIN bounds the node count, so it is a budget refusal;
+    # a coarse or NaN step is a bad value
+    code, out, err = run(capsys, "sweep", "--m", "3", "--n", "3", "--step", step)
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("pe", "--n", "78", "--pd", "0.7", "--pf", "0.3",
@@ -308,7 +319,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_passes_only_the_flags_given(capsys, monkeypatch):
-    # each verifier owns its defaults; --threads is taken by every target
+    # each verifier owns its defaults; every target accepts --threads, and none is passed it
     from placedet import analysis
 
     seen = []
@@ -324,8 +335,7 @@ def test_verify_passes_only_the_flags_given(capsys, monkeypatch):
     assert main(["verify", "thm41", "--max-m", "6", "--threads", "2"]) == 0
     assert main(["verify", "counterexample", "--threads", "2"]) == 0
     capsys.readouterr()
-    assert seen[:2] == [{}, {"m_max": 6}]
-    assert seen[2].keys() == {"threads"}
+    assert seen == [{}, {"m_max": 6}, {}]
 
 
 @pytest.mark.parametrize(
@@ -378,13 +388,13 @@ def test_usage_errors_exit_two(capsys, argv):
 
 @pytest.mark.parametrize("cpus, threads, expected", [(3, "64", 3), (3, "2", 2), (None, "4", 1)])
 def test_threads_capped_at_cpu_count(capsys, monkeypatch, cpus, threads, expected):
-    # the fakes only record the thread count, so no thread is ever started
+    # sweep accepts --threads but runs serially; the simulate fake only
+    # records the thread count, so no thread is ever started
     from placedet import analysis, montecarlo
 
     seen = []
 
-    def fake_sweep(m, n, step, region, threads):
-        seen.append(threads)
+    def fake_sweep(m, n, step, region):
         nodes = analysis._nodes((), (), half_plane=False)
         return analysis.RegionMap.from_pes(
             m, n, step, region, (), (), ((m,),), nodes, np.empty((1, 0))
@@ -400,7 +410,7 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch, cpus, threads, expecte
     assert main(["sweep", "--m", "3", "--n", "3", "--threads", threads]) == 0
     assert main(["simulate", "--n", "2", "--pd", "0.6", "--pf", "0.2",
                  "--placement", "2", "--threads", threads]) == 0
-    assert seen == [expected, expected]
+    assert seen == [expected]
 
 
 # first 16 hex digits of the sha256 of each CSV; pins the bytes across kernel changes

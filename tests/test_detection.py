@@ -40,6 +40,11 @@ P11 = canonicalize_placement([1, 1], n=2)
 P20 = canonicalize_placement([2], n=2)
 
 
+def one_pe(counts, n, pf, pd):
+    """P_e of one placement at one point count through ``partition_pes``."""
+    return detection.partition_pes((counts,), (n,), pf, pd)[0, 0]
+
+
 def test_two_sensor_values():
     model = SensorModel(p_d=0.6, p_f=0.2)
     assert error_probability(P11, model).value == pytest.approx(0.3, abs=1e-12)
@@ -161,7 +166,7 @@ def test_grid_evaluator_matches_scalar():
     pf = np.array([rng.random() for _ in range(40)])
     pd = np.array([rng.random() for _ in range(40)])
     for counts, n in [((2, 1, 1), 5), ((3, 2), 5), ((1, 1, 1, 1), 4), ((4,), 6)]:
-        grid = error_probability_grid(counts, n, pf, pd)
+        grid = one_pe(counts, n, pf, pd)
         placement = canonicalize_placement(counts, n=n)
         for g in range(pf.size):
             scalar = error_probability(
@@ -183,7 +188,7 @@ def test_count_class_kernel_matches_oracle_for_every_partition():
             positions = positions_from_counts(counts)
             for n in (m, m + 2):
                 placement = canonicalize_placement(counts, n=n)
-                grid = error_probability_grid(counts, n, pf, pd)
+                grid = one_pe(counts, n, pf, pd)
                 for g, (p_f, p_d) in enumerate(DIFFERENTIAL_POINTS):
                     expected = pe_from_positions(positions, n, p_d, p_f)
                     scalar = error_probability(placement, SensorModel(p_d, p_f), n).value
@@ -199,7 +204,7 @@ def test_grid_evaluator_matches_oracle_at_random_points():
     pf = np.array([rng.random() for _ in range(40)])
     pd = np.array([rng.random() for _ in range(40)])
     for counts, n in [((2, 1, 1), 5), ((3, 2), 5), ((1, 1, 1, 1), 4), ((4,), 6)]:
-        grid = error_probability_grid(counts, n, pf, pd)
+        grid = one_pe(counts, n, pf, pd)
         positions = positions_from_counts(counts)
         for g in range(pf.size):
             expected = pe_from_positions(positions, n, pd[g], pf[g])
@@ -253,14 +258,16 @@ def test_grid_slices_match_one_slice(monkeypatch):
     for counts, n in (((3, 2, 1, 1, 1), 9), ((1, 1, 1), 4), ((2,), 2)):
         table = slice_table(pf, pd, sum(counts))
         monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", 1 << 62)
-        whole = error_probability_grid(counts, n, pf, pd)
+        whole = one_pe(counts, n, pf, pd)
         assert np.array_equal(error_probability_grid(counts, n, pf, pd, table=table), whole)
         # width 1 is raised to 2 nodes; 4 and 250 leave one node over (1001 = 4 * 250 + 1)
         for width in (1, 2, 3, 4, 7, 250):
             for shared in (None, table):
                 entries = width * _per_node(counts, n)
                 monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
-                got = error_probability_grid(counts, n, pf, pd, table=shared)
+                got = one_pe(counts, n, pf, pd) if shared is None else (
+                    error_probability_grid(counts, n, pf, pd, table=shared)
+                )
                 assert np.array_equal(got, whole), (counts, width, shared is None)
 
 
@@ -279,7 +286,7 @@ def test_slice_width_follows_the_larger_array(monkeypatch):
 
     monkeypatch.setattr(detection, "_weighted_gaps", recording)
     pf = np.linspace(0.01, 0.5, 1000)
-    error_probability_grid((3, 2, 1, 1, 1), n, pf, pf + 0.3)
+    one_pe((3, 2, 1, 1, 1), n, pf, pf + 0.3)
     assert widths == [397, 397, 206]
 
 
@@ -289,7 +296,7 @@ def test_grid_memory_bounded_by_slice():
     pf = np.linspace(0.01, 0.5, nodes)
     tracemalloc.start()
     try:
-        error_probability_grid(counts, n, pf, pf + 0.3)
+        one_pe(counts, n, pf, pf + 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,7 +317,7 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
     # The slice-table kernel must reproduce the full (rows, classes, nodes)
     # formulation exactly: one node (which numpy would sum pairwise), a
     # small grid, and a default-width grid whose last slice holds one node;
-    # each cut into slices by the kernel and read from one whole-grid table.
+    # each cut into slices by partition_pes and read from one whole-grid table.
     rng = np.random.default_rng(23)
     for m in range(1, 9):
         for counts in enumerate_partitions(m):
@@ -320,7 +327,7 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
                 for size in (1, 40, 2 * width + 1):
                     pf, pd = _oracle_nodes(rng, size)
                     expected = pe_grid_full_table(counts, n, pf, pd)
-                    assert np.array_equal(error_probability_grid(counts, n, pf, pd), expected)
+                    assert np.array_equal(one_pe(counts, n, pf, pd), expected)
                     table = slice_table(pf, pd, m)
                     got = error_probability_grid(counts, n, pf, pd, table=table)
                     assert np.array_equal(got, expected), (counts, n, size)
@@ -354,12 +361,14 @@ def test_node_bits_do_not_depend_on_grid(monkeypatch):
                 per_node = _per_node(counts, n)
                 for entries in (2 * per_node, 3 * per_node, 7 * per_node, default):
                     monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
-                    grids.append(error_probability_grid(counts, n, pf, pd, table=shared))
+                    grids.append(one_pe(counts, n, pf, pd) if shared is None else (
+                        error_probability_grid(counts, n, pf, pd, table=shared)
+                    ))
             monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", default)
             placement = canonicalize_placement(counts, n)
             for g in probes:
-                alone = error_probability_grid(counts, n, pf[g : g + 1], pd[g : g + 1])[0]
-                pair = error_probability_grid(counts, n, pf[[g, 7]], pd[[g, 7]])[0]
+                alone = one_pe(counts, n, pf[g : g + 1], pd[g : g + 1])[0]
+                pair = one_pe(counts, n, pf[[g, 7]], pd[[g, 7]])[0]
                 shared_alone = error_probability_grid(
                     counts, n, pf[g : g + 1], pd[g : g + 1], table=table[:, g : g + 1]
                 )[0]
@@ -450,9 +459,9 @@ def test_kernel_accuracy_against_exact_rationals():
         for counts in enumerate_partitions(m):
             n = m + 1
             positions = positions_from_counts(counts)
-            grid = error_probability_grid(counts, n, pf, pd)
+            grid = one_pe(counts, n, pf, pd)
             for g in range(pf.size):
-                alone = error_probability_grid(counts, n, pf[g : g + 1], pd[g : g + 1])[0]
+                alone = one_pe(counts, n, pf[g : g + 1], pd[g : g + 1])[0]
                 exact = pe_exact(positions, n, pd[g], pf[g])
                 for value in (grid[g], alone):
                     error = float(abs(Fraction(value) - exact) / exact)
@@ -474,7 +483,7 @@ def test_grid_rejects_malformed_nodes():
     counts, n = (2, 1), 3
     for pf, pd in MALFORMED_NODES:
         with pytest.raises(ValueError):
-            error_probability_grid(counts, n, pf, pd)
+            one_pe(counts, n, pf, pd)
 
 
 def test_partition_pes_checks_before_building_a_table(monkeypatch):
@@ -527,7 +536,7 @@ def test_grid_rejects_mismatched_slice_table():
     good = slice_table(pf, pd, 3)
     assert np.array_equal(
         error_probability_grid(counts, n, pf, pd, table=good),
-        error_probability_grid(counts, n, pf, pd),
+        one_pe(counts, n, pf, pd),
     )
     bad = [
         slice_table(pf[:2], pd[:2], 3),  # too few nodes
@@ -561,7 +570,7 @@ def test_rejects_more_sensors_than_points():
     with pytest.raises(ValueError):
         error_probability(canonicalize_placement([2, 1], 3), SensorModel(0.9, 0.1), n=2)
     with pytest.raises(ValueError):
-        error_probability_grid((2, 1), 2, np.array([0.1]), np.array([0.9]))
+        one_pe((2, 1), 2, np.array([0.1]), np.array([0.9]))
     with pytest.raises(ValueError):
         optimal_placements(4, 3, SensorModel(0.9, 0.1))
 
