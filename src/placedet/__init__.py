@@ -38,12 +38,10 @@ from .majorization import (
     is_chain,
 )
 from .model import (
-    ObservationIndex,
     Placement,
     PmfTable,
     SensorModel,
     canonicalize_placement,
-    observation_index,
 )
 from .montecarlo import SimResult, simulate
 from .partitions import enumerate_partitions, partition_count
@@ -52,7 +50,6 @@ __all__ = [
     "BudgetError",
     "ErrorProbability",
     "MajorizationVerdict",
-    "ObservationIndex",
     "Optimum",
     "Placement",
     "PlacementScale",
@@ -73,7 +70,6 @@ __all__ = [
     "error_probability_grid",
     "is_chain",
     "map_decide",
-    "observation_index",
     "optimal_placements",
     "partition_count",
     "simulate",

@@ -264,11 +264,16 @@ def region_json_text(region_map: RegionMap, schema_version: str) -> str:
     return "".join([head, "[", *blocks, "\n  ]" if blocks else "]", tail, "\n"])
 
 
+def write_slices(handle, text: str) -> None:
+    """Write ``text`` in 1 MiB character slices: no encoded copy of the whole text is made."""
+    for lo in range(0, len(text), 1 << 20):
+        handle.write(text[lo : lo + (1 << 20)])
+
+
 def write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename; mode 0o666 less the umask.
 
-    The text goes out in slices of 1 MiB characters, so no encoded copy of
-    the whole text is made.
+    The text goes out through :func:`write_slices`.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")  # mode 0o600
@@ -277,8 +282,7 @@ def write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             os.fchmod(fd, 0o666 & ~umask)
-            for lo in range(0, len(text), 1 << 20):
-                handle.write(text[lo : lo + (1 << 20)])
+            write_slices(handle, text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

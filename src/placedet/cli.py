@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--step", type=float, default=0.005)
     p_sweep.add_argument("--region", choices=("pd_ge_pf", "full"), default="pd_ge_pf")
     p_sweep.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="accepted and not read: only simulate reads --threads")
     p_sweep.add_argument("--out")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo cross-check of the evaluator")
@@ -114,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n2", type=int)
     p_ver.add_argument("--max-m", dest="max_m", type=int)
     p_ver.add_argument("--step", type=float)
-    p_ver.add_argument("--threads", type=int, default=1)
+    p_ver.add_argument("--threads", type=int, default=1,
+                       help="accepted and not read: only simulate reads --threads")
     p_ver.add_argument("--out")
     return parser
 
@@ -173,7 +175,7 @@ def _jsonable(value):
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        analysis.write_slices(sys.stdout, text)
         return
     try:
         analysis.write_atomic(out, text)

@@ -37,7 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    ObservationIndex,
     Placement,
     PmfTable,
     SensorModel,
@@ -293,34 +292,19 @@ def _weighted_gaps(table, column, mult, weight) -> np.ndarray:
     return s.sum(axis=0)
 
 
-def map_decide(
-    y: ObservationIndex,
-    placement: Placement,
-    model: SensorModel,
-    n: int | None = None,
-    *,
-    table: PmfTable | None = None,
-) -> frozenset[int]:
+def map_decide(y: int, table: PmfTable) -> frozenset[int]:
     """Hypothesis indices attaining the maximum posterior for observation y.
 
-    With a uniform prior this is the likelihood argmax; all ties are
-    returned (every empty point joins the set whenever the shared
-    empty-point row attains the maximum). ``table`` is a prebuilt
-    :class:`PmfTable` for the same placement, model and n, so that deciding
-    every observation costs one table build instead of one per call.
+    With a uniform prior this is the likelihood argmax over column y of
+    ``table`` (a :class:`PmfTable`, which refuses m > n when built); all
+    ties within :data:`MAP_TIE_RTOL` are returned, and every empty point
+    joins the set whenever the shared empty-point row attains the maximum.
     """
-    n = placement.n if n is None else n
-    if placement.m > n:
-        raise ValueError(f"m={placement.m} sensors exceed n={n} points")
-    if table is None:
-        table = PmfTable.build(placement, model, n)
-    elif (table.placement, table.model, table.n) != (placement, model, n):
-        raise ValueError("table was built for a different placement, model or n")
     column = table.rows[:, y]
     mx = column.max()
     top = column >= mx - abs(mx) * MAP_TIE_RTOL
-    k = placement.k
-    return frozenset(j for j in range(1, n + 1) if top[j - 1 if j <= k else k])
+    k = table.placement.k
+    return frozenset(j for j in range(1, table.n + 1) if top[j - 1 if j <= k else k])
 
 
 def optimal_placements(m: int, n: int, model: SensorModel) -> Optimum:

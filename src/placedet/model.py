@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-ObservationIndex = int
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,6 @@ class Placement:
         """Number of occupied points."""
         return len(self.counts)
 
-    def padded(self, length: int | None = None) -> tuple[int, ...]:
-        """Counts padded with zeros to ``length`` (default ``n``)."""
-        length = self.n if length is None else length
-        if length < self.k:
-            raise ValueError(f"cannot pad {self.counts} to length {length}")
-        return self.counts + (0,) * (length - self.k)
-
     def label(self) -> str:
         """Dash-joined counts, e.g. ``2-1-1``."""
         return "-".join(str(v) for v in self.counts)
@@ -108,17 +99,7 @@ def canonicalize_placement(raw_counts: Sequence[int], n: int) -> Placement:
     if m < 1:
         raise ValueError("placement must contain at least one sensor")
     trimmed = tuple(sorted((v for v in counts if v > 0), reverse=True))
-    if len(trimmed) > n:
-        raise ValueError(f"{len(trimmed)} occupied points exceed n={n}")
     return Placement(trimmed, m, n)
-
-
-def observation_index(bits: Iterable[int]) -> ObservationIndex:
-    """Pack bits (y_1, ..., y_m) into an index, y_1 most significant."""
-    y = 0
-    for b in bits:
-        y = (y << 1) | (b & 1)
-    return y
 
 
 def power_table(pf, pd, top) -> tuple[np.ndarray, ...]:
@@ -197,25 +178,24 @@ def block_columns(alarms: np.ndarray, counts: Sequence[int], n: int) -> np.ndarr
 class PmfTable:
     """Conditional pmf of every alarm vector, with the empty-point rows collapsed.
 
-    ``rows[r, y]`` is p_j(y): rows 0..k-1 hold the occupied points; when
-    ``collapsed`` a final shared row holds the common pmf of all n - k empty
-    points (it does not depend on the placement). The column is the
-    observation index y in 0..2^M - 1. The array is frozen read-only so
-    tables can be shared across workers.
+    ``rows[r, y]`` is p_j(y): occupied point j reads ``rows[j - 1]``, and
+    when n > k every empty point reads the shared final row ``rows[k]`` (it
+    does not depend on the placement). The column is the observation index
+    y in 0..2^M - 1. :func:`placedet.detection.map_decide` decides from it.
+    The array is frozen read-only so tables can be shared across workers.
     """
 
     model: SensorModel
     placement: Placement
     n: int
     rows: np.ndarray
-    collapsed: bool
 
     @classmethod
     def build(cls, placement: Placement, model: SensorModel, n: int | None = None) -> "PmfTable":
         n = placement.n if n is None else n
-        if n < placement.k:
-            raise ValueError(f"n={n} smaller than {placement.k} occupied points")
         m = placement.m
+        if m > n:
+            raise ValueError(f"m={m} sensors exceed n={n} points")
         y = np.arange(1 << m, dtype=np.int32)
         # int8 holds every count (M < 32), so the column indices stay narrow
         bits = ((y[None, :] >> np.arange(m - 1, -1, -1, dtype=np.int32)[:, None]) & 1).astype(np.int8)
@@ -227,11 +207,4 @@ class PmfTable:
         for r in range(len(rows)):  # row by row: the gather's intp index holds 2^M entries
             np.take(table, column[r], out=rows[r])
         rows.flags.writeable = False
-        return cls(model=model, placement=placement, n=n, rows=rows, collapsed=n > placement.k)
-
-    def row(self, j: int) -> np.ndarray:
-        """Pmf row for hypothesis j (1-based); empty points share the last row."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"hypothesis index {j} out of range 1..{self.n}")
-        k = self.placement.k
-        return self.rows[j - 1] if j <= k else self.rows[k]
+        return cls(model=model, placement=placement, n=n, rows=rows)

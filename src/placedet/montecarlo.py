@@ -25,10 +25,10 @@ draws x, then makes one pass over row blocks of about ``DRAW_BLOCK_ENTRIES``
 uniforms: draw the block's uniforms, compare them with the gathered
 threshold rows into a float32 alarm block, form each row's observation
 index with one ``np.matmul`` by (2^(m-1), ..., 2, 1) (y_1 most significant,
-as in ``model.observation_index``; exact, since every partial sum is an
-integer below 2^m <= 2^20 < 2^24), and decide: ``uniform_random`` picks a
-tie by the flat index obs * n + pick into the decision table,
-``lowest_index`` takes the first tie. Count the decisions that miss x.
+the packing of ``model``; exact, since every partial sum is an integer
+below 2^m <= 2^20 < 2^24), and decide: ``uniform_random`` picks a tie by
+the flat index obs * n + pick into the decision table, ``lowest_index``
+takes the first tie. Count the decisions that miss x.
 
 ``Generator.random`` consumes one 64-bit PCG64 output per double, in order,
 so the blocks read the same stream as one (chunk size, m) draw. The tie
@@ -193,7 +193,7 @@ def _decision_tables(placement: Placement, model: SensorModel, n: int):
     tie_table = np.zeros((1 << m, n), dtype=np.int64)
     tie_len = np.zeros(1 << m, dtype=np.int64)
     for y in range(1 << m):
-        ties = sorted(map_decide(y, placement, model, n, table=table))
+        ties = sorted(map_decide(y, table))
         tie_len[y] = len(ties)
         tie_table[y, : len(ties)] = ties
     return tie_table, tie_len

@@ -14,6 +14,8 @@ does for the in-place tie pass.
 The closed forms at the end (``closed_form_pe2``, the M = 4 region
 inequalities) and ``flip_model`` and ``strict_onset`` are references only
 the tests read; the acceptance tests compare the package against them.
+``observation_index`` packs alarm bits, and ``table_row`` reads a
+``PmfTable`` row by 1-based hypothesis, for the tests that need them.
 """
 
 from __future__ import annotations
@@ -64,6 +66,22 @@ def bits_from_index(y: int, m: int) -> list[int]:
     return [(y >> (m - 1 - k)) & 1 for k in range(m)]
 
 
+def observation_index(bits) -> int:
+    """Pack bits (y_1, ..., y_m) into an index, y_1 most significant."""
+    y = 0
+    for b in bits:
+        y = (y << 1) | (b & 1)
+    return y
+
+
+def table_row(table, j: int) -> np.ndarray:
+    """Pmf row of hypothesis j (1-based) in a ``PmfTable``: empty points share row k."""
+    if not 1 <= j <= table.n:
+        raise ValueError(f"hypothesis index {j} out of range 1..{table.n}")
+    k = table.placement.k
+    return table.rows[j - 1] if j <= k else table.rows[k]
+
+
 def pmf_from_positions(bits, j: int, positions, pd: float, pf: float) -> float:
     """Joint alarm probability as a plain product over sensors."""
     prob = 1.0
@@ -71,6 +89,13 @@ def pmf_from_positions(bits, j: int, positions, pd: float, pf: float) -> float:
         p = pd if u_k == j else pf
         prob *= p if y_k else (1.0 - p)
     return prob
+
+
+def map_ties(bits, positions, n: int, pd: float, pf: float, rtol: float) -> list[int]:
+    """Every point j in 1..n whose ``pmf_from_positions`` is within ``rtol`` of the largest."""
+    rows = [pmf_from_positions(bits, j, positions, pd, pf) for j in range(1, n + 1)]
+    mx = max(rows)
+    return [j for j, row in enumerate(rows, start=1) if row >= mx - abs(mx) * rtol]
 
 
 def simulate_errors_unblocked(
@@ -84,9 +109,9 @@ def simulate_errors_unblocked(
     and draws the positions, then one unblocked (size, m) uniform array, then
     (``uniform_random`` only) one tie uniform per trial. Alarm bits become an
     observation index by a dot product with powers of two, not by packing.
-    Each observation's argmax set comes from ``pmf_from_positions`` over
-    every point, ties collected within the relative tolerance ``rtol``, and
-    is cached per observation, not tabulated over all 2^m.
+    Each observation's argmax set comes from ``map_ties`` over every point,
+    ties collected within the relative tolerance ``rtol``, and is cached per
+    observation, not tabulated over all 2^m.
     """
     positions = positions_from_counts(counts)
     m = len(positions)
@@ -105,11 +130,7 @@ def simulate_errors_unblocked(
         for x_t, y, r_t in zip(x.tolist(), obs, r):
             ties = decisions.get(y)
             if ties is None:
-                bits = bits_from_index(y, m)
-                rows = [pmf_from_positions(bits, j, positions, pd, pf) for j in range(1, n + 1)]
-                mx = max(rows)
-                ties = [j for j, row in enumerate(rows, start=1) if row >= mx - abs(mx) * rtol]
-                decisions[y] = ties
+                ties = decisions[y] = map_ties(bits_from_index(y, m), positions, n, pd, pf, rtol)
             pick = min(int(r_t * len(ties)), len(ties) - 1)
             errors += ties[pick] != x_t
     return errors

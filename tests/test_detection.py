@@ -18,18 +18,20 @@ from placedet import (
     error_probability,
     error_probability_grid,
     map_decide,
-    observation_index,
     optimal_placements,
 )
 from placedet import detection
 from placedet.analysis import COUNTEREXAMPLE_PROBES, grid_values, sweep_window
-from placedet.detection import TIE_EPS, argmin_with_ties, class_count, class_table
+from placedet.detection import MAP_TIE_RTOL, TIE_EPS, argmin_with_ties, class_count, class_table
 from placedet.model import block_columns, likelihood_columns, power_table, slice_table
 
 from oracles import (
     argmin_with_ties_two_temporaries,
     closed_form_pe2,
+    bits_from_index,
     flip_model,
+    map_ties,
+    observation_index,
     pe_exact,
     pe_from_positions,
     pe_grid_full_table,
@@ -578,26 +580,28 @@ def test_rejects_more_sensors_than_points():
 def test_map_decide_full_tie_when_uninformative():
     placement = canonicalize_placement([2, 1, 1], n=4)
     model = SensorModel(p_d=0.3, p_f=0.3)
+    table = PmfTable.build(placement, model)
     for y in range(16):
-        assert map_decide(y, placement, model) == frozenset({1, 2, 3, 4})
+        assert map_decide(y, table) == frozenset({1, 2, 3, 4})
 
 
 def test_map_decide_prefers_loaded_point():
     placement = canonicalize_placement([2], n=2)
     model = SensorModel(p_d=0.9, p_f=0.1)
-    assert map_decide(observation_index((1, 1)), placement, model) == frozenset({1})
+    table = PmfTable.build(placement, model)
+    assert map_decide(observation_index((1, 1)), table) == frozenset({1})
 
 
 def test_map_decide_all_quiet_points_to_empty_point():
     placement = canonicalize_placement([2, 1, 1, 0], n=4)
     model = SensorModel(p_d=0.9, p_f=0.1)
-    assert map_decide(0, placement, model) == frozenset({4})
+    assert map_decide(0, PmfTable.build(placement, model)) == frozenset({4})
 
 
 def test_map_decide_ties_across_empty_points():
     placement = canonicalize_placement([2, 2], n=6)
     model = SensorModel(p_d=0.9, p_f=0.1)
-    assert map_decide(0, placement, model) == frozenset({3, 4, 5, 6})
+    assert map_decide(0, PmfTable.build(placement, model)) == frozenset({3, 4, 5, 6})
 
 
 def test_map_decide_with_prebuilt_table():
@@ -605,13 +609,26 @@ def test_map_decide_with_prebuilt_table():
     model = SensorModel(p_d=0.8, p_f=0.2)
     table = PmfTable.build(placement, model, 4)
     for y in range(8):
-        assert map_decide(y, placement, model, table=table) == map_decide(y, placement, model)
-    with pytest.raises(ValueError):
-        map_decide(3, placement, SensorModel(p_d=0.7, p_f=0.2), table=table)
-    with pytest.raises(ValueError):
-        map_decide(3, canonicalize_placement([3], n=4), model, table=table)
-    with pytest.raises(ValueError):
-        map_decide(3, placement, model, n=5, table=table)
+        assert map_decide(y, table) == map_decide(y, PmfTable.build(placement, model))
+
+
+def test_map_decide_matches_position_oracle():
+    # every partition of m <= 5 on m..m + 2 points; the four corners, the
+    # diagonal and random nodes; ties by the Monte Carlo oracle's rule
+    rng = random.Random(22)
+    nodes = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.3, 0.3), (0.8, 0.8)]
+    nodes += [(rng.random(), rng.random()) for _ in range(3)]
+    for m in range(1, 6):
+        for counts in enumerate_partitions(m):
+            positions = positions_from_counts(counts)
+            for n in (m, m + 1, m + 2):
+                placement = canonicalize_placement(counts, n)
+                for p_f, p_d in nodes:
+                    table = PmfTable.build(placement, SensorModel(p_d=p_d, p_f=p_f), n)
+                    for y in range(1 << m):
+                        expected = map_ties(bits_from_index(y, m), positions, n, p_d, p_f,
+                                            MAP_TIE_RTOL)
+                        assert map_decide(y, table) == frozenset(expected), (counts, n, p_f, p_d, y)
 
 
 def test_pmf_table_and_evaluator_describe_one_detector():

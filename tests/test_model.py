@@ -10,16 +10,22 @@ from placedet import (
     PmfTable,
     SensorModel,
     canonicalize_placement,
-    observation_index,
 )
 from placedet.partitions import enumerate_partitions
 
-from oracles import bits_from_index, flip_model, pmf_from_positions, positions_from_counts
+from oracles import (
+    bits_from_index,
+    flip_model,
+    observation_index,
+    pmf_from_positions,
+    positions_from_counts,
+    table_row,
+)
 
 
 def pmf(y, j, placement, model):
     """p_j(y) read from the placement's PmfTable."""
-    return PmfTable.build(placement, model).row(j)[y]
+    return table_row(PmfTable.build(placement, model), j)[y]
 
 
 def block_pmf(a, v, s, m, model):
@@ -80,14 +86,14 @@ def test_alarm_count_blocks():
     y = observation_index((1, 0, 1, 1))
     for j, a in zip(range(1, 5), (1, 1, 1, 0)):  # block bits y1,y2 = 1,0; point 4 empty
         assert pmf(y, j, p, MODEL) == pytest.approx(
-            block_pmf(a, p.padded()[j - 1], 3, 4, MODEL), abs=1e-15
+            block_pmf(a, (2, 1, 1, 0)[j - 1], 3, 4, MODEL), abs=1e-15
         )
 
 
 def test_alarm_count_all_ones_gives_block_size():
     p = canonicalize_placement([3, 2, 1], n=6)
     y = (1 << 6) - 1
-    for j, v in enumerate(p.padded(), start=1):
+    for j, v in enumerate((3, 2, 1, 0, 0, 0), start=1):
         assert pmf(y, j, p, MODEL) == pytest.approx(block_pmf(v, v, 6, 6, MODEL), abs=1e-15)
 
 
@@ -100,9 +106,9 @@ def test_alarm_count_empty_block():
 def test_alarm_count_rejects_bad_hypothesis():
     table = PmfTable.build(canonicalize_placement([2, 1], n=3), MODEL)
     with pytest.raises(ValueError):
-        table.row(0)
+        table_row(table, 0)
     with pytest.raises(ValueError):
-        table.row(4)
+        table_row(table, 4)
 
 
 def test_pmf_single_point_two_sensors():
@@ -137,7 +143,7 @@ def test_pmf_matches_position_vector_oracle():
             bits = bits_from_index(y, p.m)
             for j in range(1, 6):
                 expected = pmf_from_positions(bits, j, positions, model.p_d, model.p_f)
-                assert table.row(j)[y] == pytest.approx(expected, abs=1e-14)
+                assert table_row(table, j)[y] == pytest.approx(expected, abs=1e-14)
 
 
 def test_pmf_table_rows_normalize_for_all_small_placements():
@@ -154,19 +160,26 @@ def test_pmf_table_rows_normalize_for_all_small_placements():
 def test_pmf_table_collapses_empty_rows():
     p = canonicalize_placement([2, 1], n=6)
     table = PmfTable.build(p, SensorModel(0.9, 0.1))
-    assert table.collapsed
+    assert table.n > table.placement.k
     assert table.rows.shape == (3, 8)
     for j in (3, 4, 5, 6):
-        assert table.row(j) is table.rows[2] or (table.row(j) == table.rows[2]).all()
+        assert table_row(table, j) is table.rows[2] or (table_row(table, j) == table.rows[2]).all()
     with pytest.raises(ValueError):
-        table.row(7)
+        table_row(table, 7)
 
 
 def test_pmf_table_no_empty_row_when_full():
     p = canonicalize_placement([1, 1], n=2)
     table = PmfTable.build(p, SensorModel(0.6, 0.2))
-    assert not table.collapsed
+    assert table.n == table.placement.k
     assert table.rows.shape == (2, 4)
+
+
+def test_pmf_table_refuses_more_sensors_than_points():
+    with pytest.raises(ValueError, match=r"^m=3 sensors exceed n=2 points$"):
+        PmfTable.build(canonicalize_placement([3], n=2), MODEL)
+    with pytest.raises(ValueError, match=r"^m=3 sensors exceed n=2 points$"):
+        PmfTable.build(canonicalize_placement([2, 1], n=3), MODEL, n=2)
 
 
 def test_pmf_table_read_only():
@@ -180,8 +193,8 @@ def test_degenerate_sensors_are_exact():
     p = canonicalize_placement([2, 1], n=3)
     model = SensorModel(p_d=1.0, p_f=0.0)
     table = PmfTable.build(p, model)
-    assert table.row(1)[observation_index((1, 1, 0))] == 1.0
-    assert table.row(2)[observation_index((0, 0, 1))] == 1.0
+    assert table_row(table, 1)[observation_index((1, 1, 0))] == 1.0
+    assert table_row(table, 2)[observation_index((0, 0, 1))] == 1.0
     assert table.rows.shape == (3, 8)  # two occupied rows plus the empty row
     assert table.rows.sum(axis=1) == pytest.approx([1.0, 1.0, 1.0], abs=0)
     assert set(table.rows.ravel()) <= {0.0, 1.0}
@@ -208,8 +221,8 @@ def test_bit_flip_symmetry(p_d, p_f, y):
     y_comp = (~y) & 31
     table, flipped_table = PmfTable.build(placement, model), PmfTable.build(placement, flipped)
     for j in range(1, 6):
-        lhs = table.row(j)[y]
-        rhs = flipped_table.row(j)[y_comp]
+        lhs = table_row(table, j)[y]
+        rhs = table_row(flipped_table, j)[y_comp]
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -231,6 +244,6 @@ def test_sensor_model_validation():
 def test_placement_helpers():
     p = canonicalize_placement([3, 2, 1], n=7)
     assert p.k == 3
-    assert p.padded() == (3, 2, 1, 0, 0, 0, 0)
+    assert p.counts + (0,) * (p.n - p.k) == (3, 2, 1, 0, 0, 0, 0)
     assert p.label() == "3-2-1"
     assert math.isclose(sum(p.counts), p.m)

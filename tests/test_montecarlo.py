@@ -5,16 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import simulate_errors_unblocked
+from oracles import observation_index, simulate_errors_unblocked
 
 from placedet import (
     Placement,
+    PmfTable,
     SensorModel,
     canonicalize_placement,
     enumerate_partitions,
     error_probability,
     map_decide,
-    observation_index,
     simulate,
 )
 from placedet import montecarlo
@@ -269,7 +269,8 @@ def test_decision_table_matches_per_observation_map_decide():
         n = placement.n + rng.randint(0, 1)
         tie_table, tie_len = _decision_tables(placement, model, n)
         assert tie_table.shape == (1 << m, n)
+        table = PmfTable.build(placement, model, n)
         for y in range(1 << m):
-            ties = sorted(map_decide(y, placement, model, n))
+            ties = sorted(map_decide(y, table))
             assert tie_len[y] == len(ties)
             assert tie_table[y].tolist() == ties + [0] * (n - len(ties))
