@@ -16,6 +16,7 @@ that monotonicity fails for (m, n) = (7, 8).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -121,7 +122,8 @@ class RegionMap:
 
     def strict_placements(self) -> set[Counts]:
         """Every placement that is the unique optimum somewhere on the map."""
-        return {self.partitions[i] for i in np.unique(self.winner[self.strict]).tolist()}
+        wins = np.bincount(self.winner[self.strict], minlength=len(self.partitions))
+        return {self.partitions[i] for i in np.flatnonzero(wins).tolist()}
 
 
 class RegionCells(Sequence):
@@ -175,10 +177,21 @@ def sweep_plane(m: int, n: int, step: float, region: str = "pd_ge_pf") -> Region
     A map whose work exceeds ``detection.WORK_BUDGET`` raises
     :class:`BudgetError` before any table is built.
     """
+    return sweep_planes(m, (n,), step, region)[0]
+
+
+def sweep_planes(
+    m: int, n_values: Sequence[int], step: float, region: str = "pd_ge_pf"
+) -> list[RegionMap]:
+    """:func:`sweep_plane` at each point count in ``n_values``, from one ``partition_pes`` call.
+
+    The maps of one m share each slice's likelihood table, so it is built
+    once for all of them; each map equals its own ``sweep_plane``.
+    """
     if region not in ("pd_ge_pf", "full"):
         raise ValueError(f"unknown region {region!r}")
     values = grid_values(step)
-    return _region_map(m, n, step, region, values, values)
+    return _region_maps(m, tuple(n_values), step, region, values, values)
 
 
 def sweep_window(
@@ -203,12 +216,18 @@ def _nodes(pf_values, pd_values, half_plane: bool):
 
 def _region_map(m, n, step, region, pf_values, pd_values) -> RegionMap:
     """Evaluate every partition of m at the map's nodes and take the argmin."""
+    return _region_maps(m, (n,), step, region, pf_values, pd_values)[0]
+
+
+def _region_maps(m, n_values, step, region, pf_values, pd_values) -> list[RegionMap]:
+    """:func:`_region_map` at each n of ``n_values``; the maps share their node arrays."""
     nodes = _nodes(pf_values, pd_values, region == "pd_ge_pf")
     parts = enumerate_partitions(m)
-    return RegionMap.from_pes(
-        m, n, step, region, pf_values, pd_values, parts, nodes,
-        partition_pes(parts, (n,), nodes[2], nodes[3])[0],
-    )
+    pes = partition_pes(parts, n_values, nodes[2], nodes[3])
+    return [
+        RegionMap.from_pes(m, n, step, region, pf_values, pd_values, parts, nodes, pes[j])
+        for j, n in enumerate(n_values)
+    ]
 
 
 def region_csv_text(region_map: RegionMap) -> str:
@@ -240,25 +259,34 @@ def region_csv_text(region_map: RegionMap) -> str:
 
 
 def region_json_text(region_map: RegionMap, schema_version: str) -> str:
-    """JSON dump with every tie set, in blocks like the CSV; an inf margin reads ``"inf"``."""
+    """JSON dump with every tie set, in blocks like the CSV; an inf margin reads ``"inf"``.
+
+    Each cell is written from a template, as ``json.dumps(indent=2)`` lays
+    it out inside the envelope: floats by ``repr``, and labels quoted as
+    they are, since digits and dashes need no escapes. Only the envelope
+    goes through ``json.dumps``.
+    """
     rm = region_map
-    labels = ["-".join(map(str, p)) for p in rm.partitions]
+    quoted = ['"' + "-".join(map(str, p)) + '"' for p in rm.partitions]
     blocks = []
     for lo in range(0, rm.pe_min.size, CSV_BLOCK_NODES):
         nodes = slice(lo, lo + CSV_BLOCK_NODES)
         best = [[] for _ in range(rm.pe_min[nodes].size)]
         for g, i in np.argwhere(rm.tie[:, nodes].T).tolist():  # node-major: partitions ascending
-            best[g].append(labels[i])
+            best[g].append(quoted[i])
         columns = zip(rm.pf[nodes].tolist(), rm.pd[nodes].tolist(), best, rm.pe_min[nodes].tolist(),
                       rm.margin[nodes].tolist(), rm.strict[nodes].tolist())
-        cells = [
-            {"p_f": f, "p_d": d, "best": b, "pe_min": pe,
-             "margin": mg if math.isfinite(mg) else repr(mg), "strict": s}
-            for f, d, b, pe, mg, s in columns
-        ]
-        # the items without the list's brackets, indented into the envelope's list and led
-        # by the comma after the block before, so one join copies the text once
-        blocks.append("," * (lo > 0) + json.dumps(cells, indent=2)[1:-2].replace("\n", "\n  "))
+        cells = []
+        for f, d, b, pe, mg, s in columns:
+            best_text = "[\n        " + ",\n        ".join(b) + "\n      ]" if b else "[]"
+            margin = repr(mg) if math.isfinite(mg) else f'"{mg!r}"'
+            cells.append(
+                f'\n    {{\n      "p_f": {f!r},\n      "p_d": {d!r},\n      "best": {best_text},'
+                f'\n      "pe_min": {pe!r},\n      "margin": {margin},'
+                f'\n      "strict": {"true" if s else "false"}\n    }}'
+            )
+        # led by the comma after the block before, so one join copies the text once
+        blocks.append("," * (lo > 0) + ",".join(cells))
     envelope = {"schema_version": schema_version, "m": rm.m, "n": rm.n, "step": rm.step}
     head, _, tail = json.dumps({**envelope, "cells": []}, indent=2).rpartition("[]")
     return "".join([head, "[", *blocks, "\n  ]" if blocks else "]", tail, "\n"])
@@ -408,8 +436,7 @@ def verify_cor41(m: int, step: float = 0.01) -> VerificationReport:
     """
     if m > 5:
         raise ValueError(f"strict-set growth check supported for m <= 5, got m={m}")
-    base = sweep_plane(m, m, step)
-    extra = sweep_plane(m, m + 1, step)
+    base, extra = sweep_planes(m, (m, m + 1), step)
     strict_base = base.strict_placements()
     strict_extra = extra.strict_placements()
     uniform = (1,) * m
@@ -457,8 +484,10 @@ def check_monotone_on_scale(
     level = levels[rm.winner]
     counted = rm.strict & (level >= 0)
     off_scale = rm.strict & (level < 0)
-    lane, along = (rm.i_d, rm.i_f) if axis == "increasing_pf" else (rm.i_f, rm.i_d)
-    order = np.lexsort((along, lane))
+    # nodes are stored p_d-major with p_f ascending, so a stable sort by lane
+    # leaves each lane in ascending order along it
+    lane = rm.i_d if axis == "increasing_pf" else rm.i_f
+    order = np.argsort(lane, kind="stable")
     walk = order[counted[order]]  # counted nodes, lane by lane, ascending along each
     drop = level[walk][:-1] - level[walk][1:]
     hits = np.nonzero((lane[walk][1:] == lane[walk][:-1]) & (drop > 0))[0]
@@ -485,9 +514,7 @@ def check_monotone_on_scale(
         notes={
             "skipped_ties": int((~rm.strict).sum()),
             "skipped_off_scale": int(off_scale.sum()),
-            "off_scale_placements": sorted(
-                labels[i] for i in np.unique(rm.winner[off_scale]).tolist()
-            ),
+            "off_scale_placements": sorted({labels[i] for i in rm.winner[off_scale].tolist()}),
         },
     )
 
@@ -504,12 +531,27 @@ def full_partition_scale(m: int) -> PlacementScale:
 
 def verify_prop51(m: int, n: int, step: float = 0.01) -> VerificationReport:
     """Monotone-on-scale check on both axes for one (m, n) map, m <= 5."""
-    scale = full_partition_scale(m)
-    region_map = sweep_plane(m, n, step)
+    return verify_prop51_pairs(((m, n),), step)[0]
+
+
+def verify_prop51_pairs(
+    pairs: Sequence[tuple[int, int]], step: float = 0.01
+) -> list[VerificationReport]:
+    """:func:`verify_prop51` of each (m, n) in order; a run of one m is swept in one call."""
+    reports = []
+    for m, run in itertools.groupby(pairs, key=lambda pair: pair[0]):
+        scale = full_partition_scale(m)
+        for region_map in sweep_planes(m, [n for _, n in run], step):
+            reports.append(_prop51_report(scale, region_map))
+    return reports
+
+
+def _prop51_report(scale: PlacementScale, region_map: RegionMap) -> VerificationReport:
+    """Both axes of :func:`check_monotone_on_scale` as one report."""
     by_pf = check_monotone_on_scale(region_map, scale, "increasing_pf")
     by_pd = check_monotone_on_scale(region_map, scale, "increasing_pd")
     return VerificationReport(
-        claim=f"optimum-monotone-on-scale/m{m}n{n}",
+        claim=f"optimum-monotone-on-scale/m{region_map.m}n{region_map.n}",
         checked=by_pf.checked + by_pd.checked,
         max_violation=max(by_pf.max_violation, by_pd.max_violation),
         counterexamples=by_pf.counterexamples + by_pd.counterexamples,

@@ -14,6 +14,7 @@ no traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -285,7 +286,7 @@ def _run_verify(args: argparse.Namespace) -> list[analysis.VerificationReport]:
         return [analysis.verify_cor41(m, **step)]
     if target == "prop51":
         pairs = _PROP51_PAIRS if args.m is None else ((args.m, args.n),)
-        return [analysis.verify_prop51(m, n, **step) for m, n in pairs]
+        return analysis.verify_prop51_pairs(pairs, **step)
     if target == "counterexample":
         return [analysis.verify_counterexample()]
     if target == "conjecture":
@@ -318,8 +319,14 @@ def _majorize_csv(m: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads ``argv`` with, built on first use, once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         validate(args)
         return dispatch(args)

@@ -12,9 +12,10 @@ interchangeable, so the sum runs over count classes (multisets of per-block
 alarm counts) weighted by their number of alarm vectors: M + 1 classes for
 the placement 1^M, at most 2^M. A likelihood depends only on the own-block
 count a, the false alarms c and the block size v, so all placements of M
-share C(M + 3, 3) columns (165 at M = 8). :func:`partition_pes` is the one
-evaluator: it checks the nodes once, cuts them into slices and builds one
-table of those columns per slice (:func:`slice_table`), which every
+share C(M + 3, 3) columns (165 at M = 8), a band of (v + 1)(M - v + 1)
+per block size v. :func:`partition_pes` is the one evaluator: it checks
+the nodes once, cuts them into slices and builds one table per slice
+(:func:`slice_table`) of the bands its placements read, which every
 placement and point count of the call reads. Region maps, the optimum
 search and a lone placement all go through it, so it is also the one gate:
 before any table it refuses placements of more than
@@ -59,12 +60,14 @@ instead of being broken by noise.
 WORK_BUDGET = 3_200_000_000
 """Most work one :func:`partition_pes` call may take on.
 
-Work is nodes x (C(m + 3, 3) + rows x count classes summed over placements
-and point counts): each node's slice-table columns plus the entries the
-kernel gathers. It admits ``sweep --m 8 --n 9 --step 0.001 --region full``
-(3.09e9; 8-10 s and a 274 MiB resident peak on a shared 2-vCPU host, most of
-it the 22 x 998,001 P_e array) and refuses ``verify thm42 --m 20 --n1 21
---n2 22`` (3.42e9).
+Work is nodes x (the slice-table columns built + rows x count classes
+summed over placements and point counts): each node's likelihood columns
+plus the entries the kernel gathers. A call over every placement of m
+builds all C(m + 3, 3) columns (all but band 0 at m = n = 1). It admits
+``sweep --m 8 --n 9 --step 0.001 --region full`` (3.09e9; 8-10 s and a
+274 MiB resident peak on a shared 2-vCPU host, most of it the
+22 x 998,001 P_e array) and refuses ``verify thm42 --m 20 --n1 21 --n2 22``
+(3.42e9).
 """
 
 GRID_CHUNK_ENTRIES = 1 << 16
@@ -149,10 +152,13 @@ def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
     in ``n_values`` at least m, and the call's work within
     :data:`WORK_BUDGET`; all of this is checked once, before any table is
     built. Node slices of :func:`slice_width` nodes run in the outer
-    loop. Each slice builds one :func:`slice_table`, which every placement
-    and point count reads through :func:`error_probability_grid`, so no
-    table spans the whole grid. One placement's P_e at one n is
-    ``partition_pes((counts,), (n,), pf, pd)[0, 0]``.
+    loop. Each slice builds one :func:`slice_table` of the bands the call
+    reads: the block sizes of ``parts``, and the empty row's band 0 when
+    some n exceeds a placement's occupied points. Every placement and point
+    count reads it through :func:`error_probability_grid`, so no table
+    spans the whole grid. When a band is left out, the class columns are
+    re-based onto the table's rows once per call. One placement's P_e at
+    one n is ``partition_pes((counts,), (n,), pf, pd)[0, 0]``.
     """
     m = sum(parts[0])
     for n in n_values:
@@ -165,7 +171,11 @@ def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
         raise ValueError("pf and pd must be finite and in [0, 1]")  # NaN fails both bounds
     if m > MAX_M:
         raise ValueError(f"m={m} sensors exceed the sensor bound {MAX_M}")
-    columns, classes = math.comb(m + 3, 3), [class_count(p) for p in parts]
+    sizes = {v for p in parts for v in p}
+    if max(n_values) > min(map(len, parts)):
+        sizes.add(0)  # the empty row
+    bands = None if len(sizes) == m + 1 else tuple(sorted(sizes))
+    columns, classes = likelihood_columns(m, bands).shape[1], [class_count(p) for p in parts]
     terms = columns + sum(
         (len(p) + (n > len(p))) * c for n in n_values for p, c in zip(parts, classes)
     )
@@ -174,15 +184,26 @@ def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
             f"work {pf.size * terms:,} exceeds the budget {WORK_BUDGET:,}: "
             f"{pf.size:,} nodes x {terms:,} likelihood columns and row x class terms"
         )
+    rebased = [[None] * len(parts) for _ in n_values]
+    if bands is not None:
+        # each full column's row in the band table; a column of no band is out of range
+        a, b = likelihood_columns(m)[:2]
+        kept = np.isin(a + b, bands)
+        row = np.where(kept, np.cumsum(kept) - 1, kept.size)
+        for j, n in enumerate(n_values):
+            for i, counts in enumerate(parts):
+                rebased[j][i] = row[class_table(counts, n).column]
     pes = np.empty((len(n_values), len(parts), pf.size))
     width = slice_width(columns, max(classes))
     for lo in range(0, pf.size, width):
         nodes = slice(lo, lo + width)
         f, d = pf[nodes], pd[nodes]
-        table = slice_table(f, d, m)
+        table = slice_table(f, d, m, bands)
         for j, n in enumerate(n_values):
             for i, counts in enumerate(parts):
-                pes[j, i, nodes] = error_probability_grid(counts, n, f, d, table=table)
+                pes[j, i, nodes] = error_probability_grid(
+                    counts, n, f, d, table=table, column=rebased[j][i]
+                )
         del table  # so the next slice's table is not built beside this one
     return pes
 
@@ -194,25 +215,32 @@ def error_probability_grid(
     pd: np.ndarray,
     *,
     table: np.ndarray,
+    column: np.ndarray | None = None,
 ) -> np.ndarray:
     """P_e of one canonical placement at one node slice: the kernel of :func:`partition_pes`.
 
     ``pf`` and ``pd`` are the slice's equal-length 1-D arrays, and
-    ``table`` is their :func:`slice_table` for m = ``sum(counts)``. Only its
-    shape is checked (the nodes and n are :func:`partition_pes`'s to
-    check), and the kernel gathers each row's columns from it into S and
-    the running max. A node's value does not depend on the other nodes of
-    the slice: alone it gets the same bits.
+    ``table`` is their whole :func:`slice_table` for m = ``sum(counts)``,
+    or, with ``column``, a table of some bands: ``column`` then holds the
+    table row of each of the placement's :class:`ClassTable` columns.
+    Only the shapes are checked (the nodes and n are
+    :func:`partition_pes`'s to check), and the kernel gathers each row's
+    columns from the table into S and the running max. A node's value does
+    not depend on the other nodes of the slice: alone it gets the same bits.
     """
-    size = np.size(pf)
-    if np.shape(table) != (likelihood_columns(sum(counts)).shape[1], size):
-        raise ValueError(f"table must be a slice_table of these {size} nodes for m={sum(counts)}")
+    size, m = np.size(pf), sum(counts)
     classes = class_table(tuple(counts), n)
+    if column is None:
+        column, expected = classes.column, (likelihood_columns(m).shape[1], size)
+    else:
+        expected = np.shape(table)[:1] + (size,)
+    if np.shape(table) != expected or np.shape(column) != classes.column.shape:
+        raise ValueError(f"table must be a slice_table of these {size} nodes for m={m}")
     # numpy sums a one-node block pairwise and wider ones in order, so a
     # lone node goes through as two copies of itself
     if size == 1:
         table = table[:, [0, 0]]
-    return _weighted_gaps(table, classes.column, classes.mult, classes.weight)[:size] / n
+    return _weighted_gaps(table, column, classes.mult, classes.weight)[:size] / n
 
 
 def slice_width(entries: int, classes: int) -> int:

@@ -19,12 +19,13 @@ alarms in total, the alarm vector has likelihood
 
 (an empty point has v = a = 0). So a likelihood is one column (v, a, c) of
 :func:`likelihood_columns`, and :func:`slice_table` is the one place the
-product is formed: every column at each node, from the powers in a
-:func:`power_table`. :func:`block_columns` names the column of each row of
-a placement; :class:`PmfTable` (one column per alarm vector) and the
-count-class P_e kernel in :mod:`placedet.detection` both gather their
-likelihoods from a slice table through it. The powers cover one node slice
-only, and a node's powers do not depend on the other nodes of the table.
+product is formed: the columns of the block sizes asked for (by default
+every column) at each node, from the powers in a :func:`power_table`.
+:func:`block_columns` names the column of each row of a placement;
+:class:`PmfTable` (one column per alarm vector) and the count-class P_e
+kernel in :mod:`placedet.detection` both gather their likelihoods from a
+slice table through it. The powers cover one node slice only, and a
+node's powers do not depend on the other nodes of the table.
 """
 
 from __future__ import annotations
@@ -119,19 +120,21 @@ def power_table(pf, pd, top) -> tuple[np.ndarray, ...]:
     return tuple(table[:, i] for i in range(4))
 
 
-@functools.cache
-def likelihood_columns(m: int) -> np.ndarray:
-    """(4, C(m + 3, 3)) exponents (a, b, c, d) of every likelihood column of m sensors.
+@functools.lru_cache(maxsize=256)
+def likelihood_columns(m: int, bands: tuple[int, ...] | None = None) -> np.ndarray:
+    """(4, columns) exponents (a, b, c, d) of the likelihood columns of m sensors.
 
     A column is fixed by the block size v, the block's alarms a and the false
-    alarms c (b = v - a, d = m - v - c). Columns run v, then a, then c
-    ascending, so (a, c, v) sits at ``offset(v) + a * (m - v + 1) + c``
+    alarms c (b = v - a, d = m - v - c). Band v is the (v + 1)(m - v + 1)
+    columns of block size v, a then c ascending. ``bands`` names the block
+    sizes to list, ascending; by default all of 0..m, C(m + 3, 3) columns,
+    where (a, c, v) sits at ``offset(v) + a * (m - v + 1) + c``
     (:func:`block_columns`). Read-only.
     """
     columns = np.array(
         [
             (a, v - a, c, m - v - c)
-            for v in range(m + 1)
+            for v in (range(m + 1) if bands is None else bands)
             for a in range(v + 1)
             for c in range(m - v + 1)
         ],
@@ -141,16 +144,18 @@ def likelihood_columns(m: int) -> np.ndarray:
     return columns
 
 
-def slice_table(pf, pd, m: int) -> np.ndarray:
-    """Every likelihood column of m sensors at each node: (C(m + 3, 3), nodes).
+def slice_table(pf, pd, m: int, bands: tuple[int, ...] | None = None) -> np.ndarray:
+    """Likelihood columns of m sensors at each node: (columns, nodes).
 
     p_d^a (1-p_d)^b p_f^c (1-p_f)^d for each (a, b, c, d) of
-    :func:`likelihood_columns`. One table serves every placement of m and
-    every point count n; e.g. 165 columns at m = 8, against 1,101 distinct
-    columns over the 22 placements on 9 points.
+    ``likelihood_columns(m, bands)``: the bands of the block sizes in
+    ``bands``, by default all C(m + 3, 3) columns. One whole table serves
+    every placement of m and every point count n; e.g. 165 columns at
+    m = 8, against 1,101 distinct columns over the 22 placements on 9
+    points. A column's bits do not depend on which other bands are built.
     """
     a, b, c, d = power_table(pf, pd, m)
-    e = likelihood_columns(m)
+    e = likelihood_columns(m, bands)
     return a[e[0]] * b[e[1]] * c[e[2]] * d[e[3]]
 
 

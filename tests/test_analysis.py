@@ -1,5 +1,6 @@
 """Plane sweeps, closed-form regions, and structural verifiers."""
 
+import dataclasses
 import json
 import math
 import re
@@ -41,6 +42,8 @@ from placedet.analysis import (
     grid_values,
     region_csv_text,
     region_json_text,
+    sweep_planes,
+    verify_prop51_pairs,
     write_atomic,
 )
 from placedet import detection
@@ -620,3 +623,46 @@ def test_write_atomic_peaks_below_the_text(tmp_path):
         tracemalloc.stop()
     assert peak < 4 << 20, peak
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "m, n_values, region",
+    [(1, (1, 2), "pd_ge_pf"), (3, (3, 4), "pd_ge_pf"), (4, (4, 5, 7), "full"), (5, (6,), "pd_ge_pf")],
+)
+def test_multi_n_maps_equal_separate_maps(m, n_values, region):
+    # the maps of one m from one partition_pes call equal sweep_plane's, field by field
+    maps = sweep_planes(m, n_values, 0.05, region)
+    assert [rm.n for rm in maps] == list(n_values)
+    for together, n in zip(maps, n_values):
+        alone = sweep_plane(m, n, 0.05, region)
+        for f in dataclasses.fields(RegionMap):
+            a, b = getattr(together, f.name), getattr(alone, f.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            else:
+                assert a == b, f.name
+
+
+def test_prop51_pairs_equal_one_report_per_pair():
+    pairs = ((3, 3), (3, 4), (4, 4), (4, 5), (5, 6))
+    reports = verify_prop51_pairs(pairs, step=0.05)
+    assert [r.to_json_dict() for r in reports] == [
+        verify_prop51(m, n, step=0.05).to_json_dict() for m, n in pairs
+    ]
+
+
+def test_json_cells_at_blind_sensors():
+    # at p_d = p_f every partition ties, so every label is written into the
+    # tie set; labels are digits and dashes, which JSON quotes as they are
+    for m in range(1, MAX_M + 1):
+        for counts in enumerate_partitions(m):
+            label = "-".join(map(str, counts))
+            assert json.dumps(label) == f'"{label}"'
+    axis = (0.0, 0.3, 1.0)
+    region_map = sweep_window(6, 7, axis, axis)
+    text = region_json_text(region_map, "1")
+    assert text == region_json_by_cells(region_map, "1")
+    labels = ["-".join(map(str, p)) for p in region_map.partitions]
+    blind = [c for c in json.loads(text)["cells"] if c["p_f"] == c["p_d"]]
+    assert len(blind) == 3
+    assert all(c["best"] == labels and c["margin"] == "inf" and not c["strict"] for c in blind)

@@ -429,3 +429,76 @@ def test_sweep_csv_digests(capsys, tmp_path, argv, digest):
     code, _, _ = run(capsys, "sweep", *argv, "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+# sha256 of the stdout of each verify target, recorded before slice tables
+# were cut to the bands a call reads and a run of maps of one m was swept in
+# one call; pins the bytes of those changes
+GOLDEN_VERIFY = (
+    (("thm41", "--max-m", "6", "--step", "0.02"),
+     "cac9df86180000883d011aef4980d4f27fdd83cca1ae095bb1bdc6acf79bee77"),
+    (("thm41", "--max-m", "20", "--step", "0.05"),
+     "32fb79d370f203d0fd3b36cd6a01631f09c6571d966465e4083cfb92602d1589"),
+    (("cor41", "--m", "4", "--step", "0.02"),
+     "e5c06a7d0086f72d1bca55cd10efc39b5c03633b223cfd97423b2664985b6a34"),
+    (("prop51", "--step", "0.02"),
+     "5b4aa0a525053fb5cdd7248af3a76e08a9831a28c00043009000e522c1565c53"),
+    (("thm42", "--m", "4", "--n1", "5", "--n2", "7", "--step", "0.05"),
+     "50829297de9e4e2639ef63c3eac0625490552cb4840a8861ad947f50e3ca0207"),
+    (("conjecture", "--m", "6", "--n", "7", "--step", "0.02"),
+     "fe05d7288075f8a28795dca8727b7483a1640be38f8ea220f382a3567bbe4bbf"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_VERIFY)
+def test_verify_stdout_digests(capsys, argv, digest):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    assert run(capsys, "partitions", "--m", "2")[0] == 0
+
+    def no_parser():
+        raise AssertionError("parser built again")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert run(capsys, "partitions", "--m", "3")[1].splitlines() == ["3", "2-1", "1-1-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(["partitions"])
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("error: ")
+    assert run(capsys, "partitions", "--m", "1")[1] == "1\n"
+
+
+NUMPY_MA_PROBE = """
+import sys
+from placedet.cli import main
+for argv in sys.argv[2:]:
+    assert main([*argv.split(), "--out", sys.argv[1]]) == 0, argv
+    print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sweeps_and_verify_targets_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs about 1 MiB of resident memory, and np.unique is the
+    # usual way it gets imported
+    src = str(Path(placedet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    runs = [
+        "sweep --m 4 --n 5 --step 0.05",
+        "sweep --m 4 --n 4 --step 0.05 --region full --format json",
+        "verify thm41 --max-m 6 --step 0.05",
+        "verify thm42 --m 3 --n1 4 --n2 5 --step 0.1",
+        "verify cor41 --m 3 --step 0.05",
+        "verify prop51 --step 0.05",
+        "verify counterexample",
+        "verify conjecture --m 6 --n 7 --step 0.05",
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, str(tmp_path / "out"), *runs],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"] * len(runs)

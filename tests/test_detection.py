@@ -288,8 +288,52 @@ def test_slice_width_follows_the_larger_array(monkeypatch):
 
     monkeypatch.setattr(detection, "_weighted_gaps", recording)
     pf = np.linspace(0.01, 0.5, 1000)
+    # (3, 2, 1, 1, 1) on 9 points reads the bands v = 0..3: 9 + 16 + 21 + 24 = 70 columns
+    assert likelihood_columns(m, (0, 1, 2, 3)).shape[1] == 70
     one_pe((3, 2, 1, 1, 1), n, pf, pf + 0.3)
-    assert widths == [397, 397, 206]
+    assert widths == [936, 64]
+
+
+def test_band_tables_match_full_table_oracle(monkeypatch):
+    # partition_pes builds only the bands of the block sizes its placements
+    # read, and band 0 only when some n exceeds a placement's occupied
+    # points. Random subsets of the placements of m <= 8, at one and at two
+    # point counts, get the bits of the full-table oracle: one node alone,
+    # and a grid led by the four corners.
+    built = []
+
+    def recording(pf, pd, m, bands=None):
+        built.append(bands)
+        return slice_table(pf, pd, m, bands)
+
+    monkeypatch.setattr(detection, "slice_table", recording)
+    rng, pick = np.random.default_rng(47), random.Random(47)
+    corners = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+    grid = np.hstack([corners, rng.uniform(size=(2, 36))])
+    banded = 0
+    for m in range(1, 9):
+        parts = enumerate_partitions(m)
+        for _ in range(6):
+            subset = tuple(pick.sample(parts, pick.randint(1, len(parts))))
+            sizes = {v for p in subset for v in p}
+            for n_values in ((m,), (m + 1,), (m, m + 2)):
+                empty_row = max(n_values) > min(map(len, subset))
+                bands = sorted(sizes | {0} if empty_row else sizes)
+                for pf, pd in (rng.uniform(size=(2, 1)), grid):
+                    built.clear()
+                    pes = detection.partition_pes(subset, n_values, pf, pd)
+                    assert built == [None if len(bands) == m + 1 else tuple(bands)]
+                    banded += built[0] is not None
+                    for j, n in enumerate(n_values):
+                        for i, counts in enumerate(subset):
+                            expected = pe_grid_full_table(counts, n, pf, pd)
+                            assert np.array_equal(pes[j, i], expected), (subset, n_values, counts)
+            # a band table holds the full table's rows of its block sizes, bit for bit
+            full, exponents = slice_table(*grid, m), likelihood_columns(m)
+            table = slice_table(*grid, m, tuple(sorted(sizes)))
+            rows = np.isin(exponents[0] + exponents[1], sorted(sizes))
+            assert table.tobytes() == full[rows].tobytes()
+    assert banded > 50
 
 
 def test_grid_memory_bounded_by_slice():
