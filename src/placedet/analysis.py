@@ -28,7 +28,7 @@ import numpy as np
 
 from .detection import BudgetError, argmin_with_ties, optimal_placements, partition_pes
 from .majorization import MajorizationVerdict, PlacementScale, chain_sort, compare, is_chain
-from .model import SensorModel
+from .model import SensorModel, placement_label
 from .partitions import MAX_M, enumerate_partitions
 
 STEP_MIN = 1e-3
@@ -198,7 +198,7 @@ def sweep_window(
     m: int, n: int, pf_values: tuple[float, ...], pd_values: tuple[float, ...]
 ) -> RegionMap:
     """Region map over an explicit rectangle of axis values (no half-plane cut)."""
-    return _region_map(m, n, None, "window", tuple(pf_values), tuple(pd_values))
+    return _region_maps(m, (n,), None, "window", tuple(pf_values), tuple(pd_values))[0]
 
 
 def _nodes(pf_values, pd_values, half_plane: bool):
@@ -214,13 +214,8 @@ def _nodes(pf_values, pd_values, half_plane: bool):
     return i_f, i_d, pf_axis[i_f], pd_axis[i_d]
 
 
-def _region_map(m, n, step, region, pf_values, pd_values) -> RegionMap:
-    """Evaluate every partition of m at the map's nodes and take the argmin."""
-    return _region_maps(m, (n,), step, region, pf_values, pd_values)[0]
-
-
 def _region_maps(m, n_values, step, region, pf_values, pd_values) -> list[RegionMap]:
-    """:func:`_region_map` at each n of ``n_values``; the maps share their node arrays."""
+    """Region maps of every partition of m at each n of ``n_values``, sharing their node arrays."""
     nodes = _nodes(pf_values, pd_values, region == "pd_ge_pf")
     parts = enumerate_partitions(m)
     pes = partition_pes(parts, n_values, nodes[2], nodes[3])
@@ -237,7 +232,7 @@ def region_csv_text(region_map: RegionMap) -> str:
     text no per-node list spans the whole map.
     """
     rm = region_map
-    labels = ["-".join(map(str, p)) for p in rm.partitions]
+    labels = [placement_label(p) for p in rm.partitions]
     pf_labels = [f"{float(p):.6g}" for p in rm.pf_values]  # each axis value formatted once
     pd_labels = [f"{float(p):.6g}" for p in rm.pd_values]
     blocks = ["p_f,p_d,best,tie_count,pe_min,margin\n"]
@@ -267,7 +262,7 @@ def region_json_text(region_map: RegionMap, schema_version: str) -> str:
     goes through ``json.dumps``.
     """
     rm = region_map
-    quoted = ['"' + "-".join(map(str, p)) + '"' for p in rm.partitions]
+    quoted = ['"' + placement_label(p) + '"' for p in rm.partitions]
     blocks = []
     for lo in range(0, rm.pe_min.size, CSV_BLOCK_NODES):
         nodes = slice(lo, lo + CSV_BLOCK_NODES)
@@ -458,8 +453,8 @@ def verify_cor41(m: int, step: float = 0.01) -> VerificationReport:
         counterexamples=tuple(counterexamples),
         passed=passed,
         notes={
-            "strict_at_n_equal_m": sorted("-".join(map(str, p)) for p in strict_base),
-            "strict_at_n_plus_1": sorted("-".join(map(str, p)) for p in strict_extra),
+            "strict_at_n_equal_m": sorted(placement_label(p) for p in strict_base),
+            "strict_at_n_plus_1": sorted(placement_label(p) for p in strict_extra),
         },
     )
 
@@ -478,7 +473,7 @@ def check_monotone_on_scale(
     if axis not in ("increasing_pf", "increasing_pd"):
         raise ValueError(f"unknown axis {axis!r}")
     rm = region_map
-    labels = ["-".join(map(str, p)) for p in rm.partitions]
+    labels = [placement_label(p) for p in rm.partitions]
     # -1 marks a partition that is not on the scale
     levels = np.array([scale.level(p) if p in scale else -1 for p in rm.partitions], dtype=int)
     level = levels[rm.winner]
@@ -560,7 +555,7 @@ def _prop51_report(scale: PlacementScale, region_map: RegionMap) -> Verification
             "skipped_ties": by_pf.notes["skipped_ties"] + by_pd.notes["skipped_ties"],
             "skipped_off_scale": by_pf.notes["skipped_off_scale"]
             + by_pd.notes["skipped_off_scale"],
-            "scale": ["-".join(map(str, p)) for p in scale.members],
+            "scale": [placement_label(p) for p in scale.members],
         },
     )
 
@@ -633,9 +628,9 @@ def check_conjecture_chain(region_map: RegionMap) -> VerificationReport:
             claim="optimal-chain-exists",
             checked=region_map.pe_min.size,
             max_violation=1.0,
-            counterexamples=({"incomparable_strict_pair": ["-".join(map(str, p)) for p in pair]},),
+            counterexamples=({"incomparable_strict_pair": [placement_label(p) for p in pair]},),
             passed=False,
-            notes={"strict_set": ["-".join(map(str, p)) for p in strict]},
+            notes={"strict_set": [placement_label(p) for p in strict]},
         )
     parts = region_map.partitions
     chosen: set[Counts] = set(strict)
@@ -658,7 +653,7 @@ def check_conjecture_chain(region_map: RegionMap) -> VerificationReport:
                 {
                     "p_f": float(region_map.pf[g]),
                     "p_d": float(region_map.pd[g]),
-                    "tie_set": ["-".join(map(str, b)) for b in best],
+                    "tie_set": [placement_label(b) for b in best],
                 }
             )
     passed = not uncovered
@@ -670,7 +665,7 @@ def check_conjecture_chain(region_map: RegionMap) -> VerificationReport:
         counterexamples=tuple(uncovered),
         passed=passed,
         notes={
-            "chain": ["-".join(map(str, p)) for p in chain.members],
-            "strict_set": ["-".join(map(str, p)) for p in strict],
+            "chain": [placement_label(p) for p in chain.members],
+            "strict_set": [placement_label(p) for p in strict],
         },
     )

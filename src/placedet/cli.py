@@ -23,7 +23,7 @@ import sys
 from . import analysis, montecarlo
 from .detection import BudgetError, error_probability, optimal_placements
 from .majorization import MajorizationVerdict, compare
-from .model import SensorModel, canonicalize_placement
+from .model import SensorModel, canonicalize_placement, placement_label
 from .partitions import enumerate_partitions
 
 SCHEMA_VERSION = "1"
@@ -215,7 +215,7 @@ def dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "partitions":
-        lines = ["-".join(map(str, p)) for p in enumerate_partitions(args.m)]
+        lines = [placement_label(p) for p in enumerate_partitions(args.m)]
         _emit("\n".join(lines) + "\n", args.out)
         return 0
 
@@ -305,7 +305,7 @@ _VERDICT_CODES = {
 
 def _majorize_csv(m: int) -> str:
     parts = enumerate_partitions(m)
-    labels = ["-".join(map(str, p)) for p in parts]
+    labels = [placement_label(p) for p in parts]
     # each unordered pair is decided once: compare(q, p) is compare(p, q) flipped
     codes = [["E"] * len(parts) for _ in parts]
     for i, p in enumerate(parts):

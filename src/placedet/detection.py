@@ -12,13 +12,14 @@ interchangeable, so the sum runs over count classes (multisets of per-block
 alarm counts) weighted by their number of alarm vectors: M + 1 classes for
 the placement 1^M, at most 2^M. A likelihood depends only on the own-block
 count a, the false alarms c and the block size v, so all placements of M
-share C(M + 3, 3) columns (165 at M = 8), a band of (v + 1)(M - v + 1)
-per block size v. :func:`partition_pes` is the one evaluator: it checks
-the nodes once, cuts them into slices and builds one table per slice
-(:func:`slice_table`) of the bands its placements read, which every
-placement and point count of the call reads. Region maps, the optimum
-search and a lone placement all go through it, so it is also the one gate:
-before any table it refuses placements of more than
+share C(M + 3, 3) columns (165 at M = 8): a band of (v + 1)(M - v + 1) per
+block size v, and each row of a placement reads the columns of its own
+band (:func:`placedet.model.row_bands`). :func:`partition_pes` is the one
+evaluator: it checks the nodes once, cuts them into slices and builds one
+table per slice (:func:`slice_table`) of the bands its placements read,
+which every placement and point count of the call reads. Region maps, the
+optimum search and a lone placement all go through it, so it is also the
+one gate: before any table it refuses placements of more than
 ``partitions.MAX_M`` sensors and calls whose work exceeds
 :data:`WORK_BUDGET` (:class:`BudgetError`). S adds the occupied rows
 once each and the shared empty-point row n - k times, then the classes, in
@@ -41,9 +42,10 @@ from .model import (
     Placement,
     PmfTable,
     SensorModel,
+    band_width,
     block_columns,
     canonicalize_placement,
-    likelihood_columns,
+    row_bands,
     slice_table,
 )
 from .partitions import MAX_M, enumerate_partitions
@@ -76,10 +78,10 @@ GRID_CHUNK_ENTRIES = 1 << 16
 A slice holds this many entries divided by the larger of the table's
 columns and the most classes of any placement in the call
 (:func:`slice_width`); e.g. 397 nodes at a time for the 165-column
-:func:`slice_table` of m = 8, and 3,276 for (3,) alone, whose 20 columns
-outnumber its 4 classes. Its likelihood table and its per-row (classes,
-nodes) blocks each hold at most this many floats (512 KiB), whatever the
-grid size. Temporaries of this size stay in cache, which made M = 8 and
+:func:`slice_table` of m = 8, and 8,192 for (3,) alone on 3 points, whose
+bands 0 and 3 hold 8 columns against its 4 classes. Its likelihood table
+and its per-row (classes, nodes) blocks each hold at most this many floats
+(512 KiB), whatever the grid size. Temporaries of this size stay in cache, which made M = 8 and
 small-M sweeps faster than one whole-grid slice.
 """
 
@@ -153,12 +155,11 @@ def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
     :data:`WORK_BUDGET`; all of this is checked once, before any table is
     built. Node slices of :func:`slice_width` nodes run in the outer
     loop. Each slice builds one :func:`slice_table` of the bands the call
-    reads: the block sizes of ``parts``, and the empty row's band 0 when
-    some n exceeds a placement's occupied points. Every placement and point
-    count reads it through :func:`error_probability_grid`, so no table
-    spans the whole grid. When a band is left out, the class columns are
-    re-based onto the table's rows once per call. One placement's P_e at
-    one n is ``partition_pes((counts,), (n,), pf, pd)[0, 0]``.
+    reads (:func:`placedet.model.row_bands`): the block sizes of ``parts``,
+    and the empty row's band 0 when some n exceeds a placement's occupied
+    points. Every placement and point count reads it through
+    :func:`error_probability_grid`, so no table spans the whole grid. One
+    placement's P_e at one n is ``partition_pes((counts,), (n,), pf, pd)[0, 0]``.
     """
     m = sum(parts[0])
     for n in n_values:
@@ -171,28 +172,15 @@ def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
         raise ValueError("pf and pd must be finite and in [0, 1]")  # NaN fails both bounds
     if m > MAX_M:
         raise ValueError(f"m={m} sensors exceed the sensor bound {MAX_M}")
-    sizes = {v for p in parts for v in p}
-    if max(n_values) > min(map(len, parts)):
-        sizes.add(0)  # the empty row
-    bands = None if len(sizes) == m + 1 else tuple(sorted(sizes))
-    columns, classes = likelihood_columns(m, bands).shape[1], [class_count(p) for p in parts]
-    terms = columns + sum(
-        (len(p) + (n > len(p))) * c for n in n_values for p, c in zip(parts, classes)
-    )
+    rows = [[row_bands(p, n) for p in parts] for n in n_values]
+    bands = tuple(sorted({v for per_n in rows for r in per_n for v in r}))
+    columns, classes = sum(band_width(m, v) for v in bands), [class_count(p) for p in parts]
+    terms = columns + sum(len(r) * c for per_n in rows for r, c in zip(per_n, classes))
     if pf.size * terms > WORK_BUDGET:
         raise BudgetError(
             f"work {pf.size * terms:,} exceeds the budget {WORK_BUDGET:,}: "
             f"{pf.size:,} nodes x {terms:,} likelihood columns and row x class terms"
         )
-    rebased = [[None] * len(parts) for _ in n_values]
-    if bands is not None:
-        # each full column's row in the band table; a column of no band is out of range
-        a, b = likelihood_columns(m)[:2]
-        kept = np.isin(a + b, bands)
-        row = np.where(kept, np.cumsum(kept) - 1, kept.size)
-        for j, n in enumerate(n_values):
-            for i, counts in enumerate(parts):
-                rebased[j][i] = row[class_table(counts, n).column]
     pes = np.empty((len(n_values), len(parts), pf.size))
     width = slice_width(columns, max(classes))
     for lo in range(0, pf.size, width):
@@ -201,46 +189,30 @@ def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
         table = slice_table(f, d, m, bands)
         for j, n in enumerate(n_values):
             for i, counts in enumerate(parts):
-                pes[j, i, nodes] = error_probability_grid(
-                    counts, n, f, d, table=table, column=rebased[j][i]
-                )
+                pes[j, i, nodes] = error_probability_grid(counts, n, f, d, table=table)
         del table  # so the next slice's table is not built beside this one
     return pes
 
 
 def error_probability_grid(
-    counts: tuple[int, ...],
-    n: int,
-    pf: np.ndarray,
-    pd: np.ndarray,
-    *,
-    table: np.ndarray,
-    column: np.ndarray | None = None,
+    counts: tuple[int, ...], n: int, pf: np.ndarray, pd: np.ndarray, *, table: dict[int, np.ndarray]
 ) -> np.ndarray:
     """P_e of one canonical placement at one node slice: the kernel of :func:`partition_pes`.
 
     ``pf`` and ``pd`` are the slice's equal-length 1-D arrays, and
-    ``table`` is their whole :func:`slice_table` for m = ``sum(counts)``,
-    or, with ``column``, a table of some bands: ``column`` then holds the
-    table row of each of the placement's :class:`ClassTable` columns.
-    Only the shapes are checked (the nodes and n are
-    :func:`partition_pes`'s to check), and the kernel gathers each row's
-    columns from the table into S and the running max. A node's value does
-    not depend on the other nodes of the slice: alone it gets the same bits.
+    ``table`` is their :func:`slice_table` for m = ``sum(counts)``, holding
+    at least the bands the placement's rows read. Only the shapes of those
+    bands are checked (the nodes and n are :func:`partition_pes`'s to
+    check), and the kernel gathers each row's columns from its band into S
+    and the running max. A node's value does not depend on the other nodes
+    of the slice: alone it gets the same bits.
     """
     size, m = np.size(pf), sum(counts)
-    classes = class_table(tuple(counts), n)
-    if column is None:
-        column, expected = classes.column, (likelihood_columns(m).shape[1], size)
-    else:
-        expected = np.shape(table)[:1] + (size,)
-    if np.shape(table) != expected or np.shape(column) != classes.column.shape:
-        raise ValueError(f"table must be a slice_table of these {size} nodes for m={m}")
-    # numpy sums a one-node block pairwise and wider ones in order, so a
-    # lone node goes through as two copies of itself
-    if size == 1:
-        table = table[:, [0, 0]]
-    return _weighted_gaps(table, column, classes.mult, classes.weight)[:size] / n
+    classes, bands = class_table(tuple(counts), n), row_bands(counts, n)
+    for v in set(bands):
+        if v not in table or table[v].shape != (band_width(m, v), size):
+            raise ValueError(f"table must be a slice_table of these {size} nodes for m={m}")
+    return _weighted_gaps(table, bands, classes.column, classes.mult, classes.weight)[:size] / n
 
 
 def slice_width(entries: int, classes: int) -> int:
@@ -256,10 +228,12 @@ class ClassTable(NamedTuple):
     """The count classes of a placement over n points, as read-only arrays.
 
     ``column`` (rows, classes) names the likelihood of each row and class
-    as a :func:`likelihood_columns` column, so a row of a
-    :func:`slice_table`; rows are the blocks in order, then the shared
-    empty row when n > k. ``mult`` is the hypotheses per row (1, or n - k
-    for the empty row), ``weight`` the alarm vectors per class (sum 2^m).
+    as a column of the row's band (:func:`placedet.model.block_columns`),
+    so a row of that band's view in a :func:`slice_table`; rows are the
+    blocks in order, then the shared empty row when n > k
+    (:func:`placedet.model.row_bands`). ``mult`` is the hypotheses per row
+    (1, or n - k for the empty row), ``weight`` the alarm vectors per class
+    (sum 2^m).
     """
 
     mult: np.ndarray
@@ -290,8 +264,7 @@ def class_table(counts: tuple[int, ...], n: int) -> ClassTable:
     combos = list(itertools.product(*runs))
     a = np.array([[x for alarms, _ in c for x in alarms] for c in combos], dtype=np.intp).T
     column = block_columns(a, counts, n)
-    k = len(counts)
-    mult = np.where(np.arange(len(column)) < k, 1.0, n - k)
+    mult = np.array([1.0 if v else n - len(counts) for v in row_bands(counts, n)])
     weight = np.array([math.prod(w for _, w in c) for c in combos], dtype=float)
     table = ClassTable(mult, weight, column)
     for array in table:
@@ -299,24 +272,29 @@ def class_table(counts: tuple[int, ...], n: int) -> ClassTable:
     return table
 
 
-def _weighted_gaps(table, column, mult, weight) -> np.ndarray:
+def _weighted_gaps(table, bands, column, mult, weight) -> np.ndarray:
     """Sum over classes of weight x (S - max) for one node slice.
 
-    ``table`` is a :func:`slice_table` (likelihood columns x nodes) and
-    ``column`` (rows, classes) the column of each row and class. S adds the
-    rows in order, each times its ``mult`` (1, or n - k for the empty row);
-    the (classes, nodes) arrays die on return.
+    ``table`` is a :func:`slice_table` (one (columns, nodes) view per
+    band), ``bands`` the band each row reads and ``column`` (rows, classes)
+    the column of each row and class within it. S adds the rows in order,
+    each times its ``mult`` (1, or n - k for the empty row); the
+    (classes, nodes) arrays die on return.
     """
-    s = table[column[0]]
+    s = table[bands[0]][column[0]]
     mx = s.copy()
     for r in range(1, len(column)):
-        pmf = table[column[r]]
+        pmf = table[bands[r]][column[r]]
         np.maximum(mx, pmf, out=mx)
         if mult[r] != 1.0:
             pmf *= mult[r]
         s += pmf
     s -= mx
     s *= weight[:, None]
+    # numpy sums a one-node block pairwise and wider ones in order, so a
+    # lone node goes through as two copies of itself
+    if s.shape[1] == 1:
+        s = np.hstack([s, s])
     return s.sum(axis=0)
 
 

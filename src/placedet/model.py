@@ -17,15 +17,17 @@ alarms in total, the alarm vector has likelihood
 
     p_j(y) = p_d^a (1-p_d)^(v-a) p_f^c (1-p_f)^(M-v-c),  c = s - a
 
-(an empty point has v = a = 0). So a likelihood is one column (v, a, c) of
-:func:`likelihood_columns`, and :func:`slice_table` is the one place the
-product is formed: the columns of the block sizes asked for (by default
-every column) at each node, from the powers in a :func:`power_table`.
-:func:`block_columns` names the column of each row of a placement;
-:class:`PmfTable` (one column per alarm vector) and the count-class P_e
-kernel in :mod:`placedet.detection` both gather their likelihoods from a
-slice table through it. The powers cover one node slice only, and a
-node's powers do not depend on the other nodes of the table.
+(an empty point has v = a = 0). So a likelihood is fixed by the block size
+v, its band, and by a and c: column a * (M - v + 1) + c of band v, the
+(v + 1)(M - v + 1) columns of :func:`likelihood_columns`. Row r of a
+placement reads band ``counts[r]``, and the shared empty row, present when
+n > k, reads band 0 (:func:`row_bands`); :func:`block_columns` names each
+row's column within its band. :func:`slice_table` is the one place the
+product is formed: one view per band asked for, at each node, from the
+powers in a :func:`power_table`. :class:`PmfTable` (one column per alarm
+vector) and the count-class P_e kernel in :mod:`placedet.detection` both
+gather their likelihoods from it. The powers cover one node slice only,
+and a node's powers do not depend on the other nodes of the table.
 """
 
 from __future__ import annotations
@@ -81,7 +83,12 @@ class Placement:
 
     def label(self) -> str:
         """Dash-joined counts, e.g. ``2-1-1``."""
-        return "-".join(str(v) for v in self.counts)
+        return placement_label(self.counts)
+
+
+def placement_label(counts: Sequence[int]) -> str:
+    """The label of a count vector in every output: dash-joined counts, e.g. ``2-1-1``."""
+    return "-".join(map(str, counts))
 
 
 def canonicalize_placement(raw_counts: Sequence[int], n: int) -> Placement:
@@ -120,21 +127,32 @@ def power_table(pf, pd, top) -> tuple[np.ndarray, ...]:
     return tuple(table[:, i] for i in range(4))
 
 
+def row_bands(counts: Sequence[int], n: int) -> tuple[int, ...]:
+    """The band each row of ``counts`` over n points reads.
+
+    Block r reads band ``counts[r]``; the shared empty row, present when
+    n > k, reads band 0.
+    """
+    return tuple(counts) + (0,) * (n > len(counts))
+
+
+def band_width(m: int, v: int) -> int:
+    """Columns in band v of m sensors: (v + 1)(m - v + 1), a then c ascending."""
+    return (v + 1) * (m - v + 1)
+
+
 @functools.lru_cache(maxsize=256)
-def likelihood_columns(m: int, bands: tuple[int, ...] | None = None) -> np.ndarray:
-    """(4, columns) exponents (a, b, c, d) of the likelihood columns of m sensors.
+def likelihood_columns(m: int, bands: tuple[int, ...]) -> np.ndarray:
+    """(4, columns) exponents (a, b, c, d) of the bands of m sensors, one after another.
 
     A column is fixed by the block size v, the block's alarms a and the false
-    alarms c (b = v - a, d = m - v - c). Band v is the (v + 1)(m - v + 1)
-    columns of block size v, a then c ascending. ``bands`` names the block
-    sizes to list, ascending; by default all of 0..m, C(m + 3, 3) columns,
-    where (a, c, v) sits at ``offset(v) + a * (m - v + 1) + c``
-    (:func:`block_columns`). Read-only.
+    alarms c (b = v - a, d = m - v - c), and sits at a * (m - v + 1) + c
+    within band v (:func:`block_columns`). Read-only.
     """
     columns = np.array(
         [
             (a, v - a, c, m - v - c)
-            for v in (range(m + 1) if bands is None else bands)
+            for v in bands
             for a in range(v + 1)
             for c in range(m - v + 1)
         ],
@@ -144,38 +162,44 @@ def likelihood_columns(m: int, bands: tuple[int, ...] | None = None) -> np.ndarr
     return columns
 
 
-def slice_table(pf, pd, m: int, bands: tuple[int, ...] | None = None) -> np.ndarray:
-    """Likelihood columns of m sensors at each node: (columns, nodes).
+def slice_table(pf, pd, m: int, bands: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """Likelihood columns of m sensors at each node: one (columns, nodes) view per band.
 
-    p_d^a (1-p_d)^b p_f^c (1-p_f)^d for each (a, b, c, d) of
-    ``likelihood_columns(m, bands)``: the bands of the block sizes in
-    ``bands``, by default all C(m + 3, 3) columns. One whole table serves
-    every placement of m and every point count n; e.g. 165 columns at
-    m = 8, against 1,101 distinct columns over the 22 placements on 9
-    points. A column's bits do not depend on which other bands are built.
+    ``table[v]`` holds p_d^a (1-p_d)^b p_f^c (1-p_f)^d for each (a, b, c, d)
+    of band v, for each block size v in ``bands``. All of them come from
+    one product over ``likelihood_columns(m, bands)``, and a column's bits
+    do not depend on which other bands are built. One table serves every
+    placement of m and every point count n that reads only these bands;
+    e.g. 165 columns at m = 8 for all of 0..8, against 1,101 distinct
+    columns over the 22 placements on 9 points.
     """
     a, b, c, d = power_table(pf, pd, m)
     e = likelihood_columns(m, bands)
-    return a[e[0]] * b[e[1]] * c[e[2]] * d[e[3]]
+    table, views, lo = a[e[0]] * b[e[1]] * c[e[2]] * d[e[3]], {}, 0
+    for v in bands:
+        hi = lo + band_width(m, v)
+        views[v], lo = table[lo:hi], hi
+    return views
 
 
 def block_columns(alarms: np.ndarray, counts: Sequence[int], n: int) -> np.ndarray:
-    """(rows, cols) column of :func:`likelihood_columns` of each row's likelihood.
+    """(rows, cols) column of each row's likelihood within the row's band.
 
     ``alarms`` (k, cols) holds the own-block alarm count of each occupied
     point in each column (an alarm vector or a count class). Rows are the
     blocks of ``counts`` in order, then the shared empty row (v = a = 0,
-    every alarm false) when n > k. The indices take the dtype of ``alarms``,
-    widened if needed to hold every column of m = ``sum(counts)``.
+    every alarm false) when n > k, as :func:`row_bands` lists them. With s
+    alarms in all, a row of block size v and a own alarms reads column
+    a * (m - v + 1) + s - a of band v, and the empty row column s of band 0.
+    The indices take the dtype of ``alarms``, widened if needed to hold
+    every column of the widest band of m = ``sum(counts)``.
     """
     m, k = sum(counts), len(counts)
-    dtype = np.promote_types(alarms.dtype, np.min_scalar_type(-likelihood_columns(m).shape[1]))
+    dtype = np.promote_types(alarms.dtype, np.min_scalar_type(-band_width(m, m // 2)))
     a = alarms.astype(dtype, copy=False)
     s = a.sum(axis=0, dtype=dtype)
     v = np.array(counts, dtype=dtype)[:, None]
-    sizes = np.arange(m + 1)
-    offset = np.concatenate([[0], np.cumsum((sizes + 1) * (m - sizes + 1))])  # columns before size v
-    rows = offset.astype(dtype)[v] + a * (m - v + 1) + (s - a)
+    rows = a * (m - v + 1) + (s - a)
     return np.vstack([rows, s[None]]) if n > k else rows
 
 
@@ -207,9 +231,10 @@ class PmfTable:
         starts = np.cumsum((0,) + placement.counts[:-1])
         alarms = np.add.reduceat(bits, starts, axis=0, dtype=np.int8)  # (k, 2^M) block sums
         column = block_columns(alarms, placement.counts, n)
-        table = slice_table([model.p_f], [model.p_d], m)[:, 0]
+        bands = row_bands(placement.counts, n)
+        table = slice_table([model.p_f], [model.p_d], m, tuple(sorted(set(bands))))
         rows = np.empty(column.shape)
-        for r in range(len(rows)):  # row by row: the gather's intp index holds 2^M entries
-            np.take(table, column[r], out=rows[r])
+        for r, v in enumerate(bands):  # row by row: the gather's intp index holds 2^M entries
+            np.take(table[v][:, 0], column[r], out=rows[r])
         rows.flags.writeable = False
         return cls(model=model, placement=placement, n=n, rows=rows)

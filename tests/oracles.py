@@ -30,7 +30,6 @@ import numpy as np
 
 from placedet import SensorModel
 from placedet.detection import TIE_EPS, class_table
-from placedet.model import likelihood_columns
 
 Counts = tuple[int, ...]
 
@@ -175,19 +174,26 @@ def pe_grid_full_table(counts, n: int, pf, pd) -> np.ndarray:
     """Grid P_e from the full (rows, classes, nodes) likelihood table.
 
     Takes a placement, its point count and equal-length node arrays, and
-    reads the exponents of each row and class from ``likelihood_columns`` at
-    the ``class_table`` columns. Builds the powers over the whole grid, one
-    1-D ``np.power`` of the stacked bases per exponent (an element's bits
-    then do not depend on the array's length), forms every row x class
-    likelihood with four gathers and three multiplies, and sums in the grid
-    kernel's order: rows one after another, the empty row weighted by its
-    multiplicity, then the classes one after another in the S - max form. The sums are written out as loops, not
-    numpy reductions, which add pairwise along a contiguous axis, so the
-    order is the same for one node and for many, and the kernel must match
-    this bit for bit.
+    decodes the exponents of each row and class from the ``class_table``
+    columns itself: row r is a block of size v = counts[r], or the empty row
+    (v = 0) when n exceeds the occupied points, and column i of that row is
+    a = i // (m - v + 1) own alarms and c = i % (m - v + 1) false alarms.
+    Builds the powers over the whole grid, one 1-D ``np.power`` of the
+    stacked bases per exponent (an element's bits then do not depend on the
+    array's length), forms every row x class likelihood with four gathers
+    and three multiplies, and sums in the grid kernel's order: rows one
+    after another, the empty row weighted by its multiplicity, then the
+    classes one after another in the S - max form. The sums are written out
+    as loops, not numpy reductions, which add pairwise along a contiguous
+    axis, so the order is the same for one node and for many, and the
+    kernel must match this bit for bit.
     """
     classes = class_table(tuple(counts), n)
-    exponents = likelihood_columns(sum(counts))[:, classes.column]
+    m, sizes = sum(counts), list(counts) + [0] * (n > len(counts))
+    exponents = np.zeros((4,) + classes.column.shape, dtype=np.intp)
+    for r, (v, column) in enumerate(zip(sizes, classes.column)):
+        a, c = np.divmod(column.astype(np.intp), m - v + 1)
+        exponents[:, r] = [a, v - a, c, m - v - c]
     mult, weight = classes.mult, classes.weight
     pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
     bases = np.stack([pd, 1.0 - pd, pf, 1.0 - pf])

@@ -37,7 +37,6 @@ from placedet import (
 )
 from placedet.analysis import (
     _nodes,
-    _region_map,
     full_partition_scale,
     grid_values,
     region_csv_text,
@@ -536,9 +535,7 @@ def test_map_walk_builds_each_class_table_once(monkeypatch):
     try:
         axis = tuple(np.linspace(0.05, 0.95, 15))
         _, _, pf, pd = _nodes(axis, axis, half_plane=False)
-        width = detection.slice_width(
-            detection.likelihood_columns(m).shape[1], max(map(class_count, parts))
-        )
+        width = detection.slice_width(math.comb(m + 3, 3), max(map(class_count, parts)))
         assert width == 96 and pf.size > 2 * width
         pes = partition_pes(parts, n_values, pf, pd)
     finally:
@@ -552,8 +549,7 @@ def test_optimal_chain_holds_to_m8_and_breaks_at_m9(m, n):
     # the first structural result past the paper's (7, 8) probe: at step
     # 0.01 the strict optima form one majorization chain for m = 8, and at
     # m = 9 two incomparable placements each win strictly somewhere
-    values = grid_values(0.01)
-    report = check_conjecture_chain(_region_map(m, n, 0.01, "pd_ge_pf", values, values))
+    report = check_conjecture_chain(sweep_plane(m, n, 0.01))
     if m == 8:
         assert report.passed and not report.counterexamples
     else:
@@ -575,7 +571,7 @@ def test_region_map_pes_match_standalone_kernel_and_oracle(monkeypatch):
     default = detection.GRID_CHUNK_ENTRIES
     for m in range(1, 9):
         parts = enumerate_partitions(m)
-        per_node = max(detection.likelihood_columns(m).shape[1], max(map(class_count, parts)))
+        per_node = max(math.comb(m + 3, 3), max(map(class_count, parts)))
         builds = (
             (default, lambda n: sweep_plane(m, n, 0.05)),
             (default, lambda n: sweep_window(m, n, *WINDOW_AXES)),

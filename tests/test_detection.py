@@ -23,7 +23,14 @@ from placedet import (
 from placedet import detection
 from placedet.analysis import COUNTEREXAMPLE_PROBES, grid_values, sweep_window
 from placedet.detection import MAP_TIE_RTOL, TIE_EPS, argmin_with_ties, class_count, class_table
-from placedet.model import block_columns, likelihood_columns, power_table, slice_table
+from placedet.model import (
+    band_width,
+    block_columns,
+    likelihood_columns,
+    power_table,
+    row_bands,
+    slice_table,
+)
 
 from oracles import (
     argmin_with_ties_two_temporaries,
@@ -45,6 +52,16 @@ P20 = canonicalize_placement([2], n=2)
 def one_pe(counts, n, pf, pd):
     """P_e of one placement at one point count through ``partition_pes``."""
     return detection.partition_pes((counts,), (n,), pf, pd)[0, 0]
+
+
+def all_bands(m):
+    """Every block size of m sensors, empty row included: the whole slice table."""
+    return tuple(range(m + 1))
+
+
+def own_bands(counts, n):
+    """The bands ``partition_pes`` builds for ``counts`` alone on n points."""
+    return tuple(sorted(set(row_bands(counts, n))))
 
 
 def test_two_sensor_values():
@@ -219,7 +236,10 @@ def test_count_class_table_shape():
         for counts in enumerate_partitions(m):
             for n in (m, m + 2):
                 mult, weight, column = class_table(counts, n)
-                exponents = likelihood_columns(m)[:, column]
+                exponents = np.stack([
+                    likelihood_columns(m, (v,))[:, row]
+                    for v, row in zip(row_bands(counts, n), column)
+                ], axis=1)
                 assert class_count(counts) == weight.size
                 assert weight.sum() == 2**m
                 assert mult.sum() == n
@@ -231,8 +251,9 @@ def test_count_class_table_shape():
 def test_block_columns_name_the_likelihood_formula(dtype):
     # for every block size v, own alarms a and total alarms s, the row's
     # column is p_d^a (1-p_d)^(v-a) p_f^(s-a) (1-p_f)^(m-v-s+a); the empty
-    # row (v = a = 0) follows the blocks when n > k
-    for m in range(1, 11):
+    # row (v = a = 0) follows the blocks when n > k. Each column lies in its
+    # row's band, and up to m = 20 (the widest band: 121 columns) int8 holds it.
+    for m in range(1, 21):
         for v in range(1, m + 1):
             counts = (v, m - v)[: 1 + (v < m)]
             a, s = np.array(
@@ -242,15 +263,18 @@ def test_block_columns_name_the_likelihood_formula(dtype):
             blocks = [(v, a), (m - v, s - a)][: len(counts)]
             for n, rows in ((len(counts), blocks), (len(counts) + 1, [*blocks, (0, 0 * s)])):
                 column = block_columns(alarms, counts, n)
-                assert column.shape == (len(rows), s.size)
+                assert column.shape == (len(rows), s.size) and column.dtype == dtype
+                assert [size for size, _ in rows] == list(row_bands(counts, n))
                 for (size, own), got in zip(rows, column):
                     expected = [own, size - own, s - own, m - size - s + own]
-                    assert np.array_equal(likelihood_columns(m)[:, got], expected), (m, v, size, n)
+                    band = likelihood_columns(m, (size,))
+                    assert np.array_equal(band[:, got], expected), (m, v, size, n)
 
 
 def _per_node(counts, n):
     """Floats per node of the kernel's larger slice array: its slice table, or its classes."""
-    return max(likelihood_columns(sum(counts)).shape[1], class_table(counts, n).weight.size)
+    columns = sum(band_width(sum(counts), v) for v in own_bands(counts, n))
+    return max(columns, class_table(counts, n).weight.size)
 
 
 def test_grid_slices_match_one_slice(monkeypatch):
@@ -258,7 +282,7 @@ def test_grid_slices_match_one_slice(monkeypatch):
     pf, pd = rng.uniform(size=(2, 1001))
     pf[:4], pd[:4] = [0.0, 1.0, 0.3, 0.5], [1.0, 0.0, 0.3, 0.5]
     for counts, n in (((3, 2, 1, 1, 1), 9), ((1, 1, 1), 4), ((2,), 2)):
-        table = slice_table(pf, pd, sum(counts))
+        table = slice_table(pf, pd, sum(counts), all_bands(sum(counts)))
         monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", 1 << 62)
         whole = one_pe(counts, n, pf, pd)
         assert np.array_equal(error_probability_grid(counts, n, pf, pd, table=table), whole)
@@ -276,14 +300,14 @@ def test_grid_slices_match_one_slice(monkeypatch):
 def test_slice_width_follows_the_larger_array(monkeypatch):
     # the kernel holds the table and (classes, nodes) blocks, never rows x classes
     m, n = 8, 9
-    assert likelihood_columns(m).shape[1] == math.comb(m + 3, 3) == 165
+    assert likelihood_columns(m, all_bands(m)).shape[1] == math.comb(m + 3, 3) == 165
     assert detection.slice_width(165, 48) == detection.GRID_CHUNK_ENTRIES // 165 == 397
     assert detection.slice_width(8, 4) == 8192 and detection.slice_width(1 << 20, 1) == 2
     widths = []
     original = detection._weighted_gaps
 
     def recording(table, *rest):
-        widths.append(table.shape[1])
+        widths.append(table[0].shape[1])
         return original(table, *rest)
 
     monkeypatch.setattr(detection, "_weighted_gaps", recording)
@@ -302,7 +326,7 @@ def test_band_tables_match_full_table_oracle(monkeypatch):
     # and a grid led by the four corners.
     built = []
 
-    def recording(pf, pd, m, bands=None):
+    def recording(pf, pd, m, bands):
         built.append(bands)
         return slice_table(pf, pd, m, bands)
 
@@ -322,17 +346,17 @@ def test_band_tables_match_full_table_oracle(monkeypatch):
                 for pf, pd in (rng.uniform(size=(2, 1)), grid):
                     built.clear()
                     pes = detection.partition_pes(subset, n_values, pf, pd)
-                    assert built == [None if len(bands) == m + 1 else tuple(bands)]
-                    banded += built[0] is not None
+                    assert built == [tuple(bands)]
+                    banded += len(bands) < m + 1
                     for j, n in enumerate(n_values):
                         for i, counts in enumerate(subset):
                             expected = pe_grid_full_table(counts, n, pf, pd)
                             assert np.array_equal(pes[j, i], expected), (subset, n_values, counts)
-            # a band table holds the full table's rows of its block sizes, bit for bit
-            full, exponents = slice_table(*grid, m), likelihood_columns(m)
+            # a band table holds the whole table's bands of its block sizes, bit for bit
+            full = slice_table(*grid, m, all_bands(m))
             table = slice_table(*grid, m, tuple(sorted(sizes)))
-            rows = np.isin(exponents[0] + exponents[1], sorted(sizes))
-            assert table.tobytes() == full[rows].tobytes()
+            assert sorted(table) == sorted(sizes)
+            assert all(table[v].tobytes() == full[v].tobytes() for v in sizes)
     assert banded > 50
 
 
@@ -363,18 +387,19 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
     # The slice-table kernel must reproduce the full (rows, classes, nodes)
     # formulation exactly: one node (which numpy would sum pairwise), a
     # small grid, and a default-width grid whose last slice holds one node;
-    # each cut into slices by partition_pes and read from one whole-grid table.
+    # each cut into slices by partition_pes and read from one whole-grid
+    # table of the placement's own bands.
     rng = np.random.default_rng(23)
     for m in range(1, 9):
         for counts in enumerate_partitions(m):
             for n in (m, m + 2):
                 classes = class_table(counts, n).weight.size
-                width = detection.slice_width(likelihood_columns(m).shape[1], classes)
+                width = detection.slice_width(_per_node(counts, n), classes)
                 for size in (1, 40, 2 * width + 1):
                     pf, pd = _oracle_nodes(rng, size)
                     expected = pe_grid_full_table(counts, n, pf, pd)
                     assert np.array_equal(one_pe(counts, n, pf, pd), expected)
-                    table = slice_table(pf, pd, m)
+                    table = slice_table(pf, pd, m, own_bands(counts, n))
                     got = error_probability_grid(counts, n, pf, pd, table=table)
                     assert np.array_equal(got, expected), (counts, n, size)
     # numpy's pairwise row sum differs from the in-order one from 8 rows on,
@@ -385,7 +410,8 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
             for _ in range(3):
                 pf, pd = rng.uniform(size=(2, 1))
                 expected = pe_grid_full_table(counts, n, pf, pd)
-                got = error_probability_grid(counts, n, pf, pd, table=slice_table(pf, pd, m))
+                table = slice_table(pf, pd, m, own_bands(counts, n))
+                got = error_probability_grid(counts, n, pf, pd, table=table)
                 assert np.array_equal(got, expected), (counts, n, pf, pd)
 
 
@@ -399,7 +425,7 @@ def test_node_bits_do_not_depend_on_grid(monkeypatch):
     probes = (0, 24, 49)
     default = detection.GRID_CHUNK_ENTRIES
     for m in range(1, 13):
-        table = slice_table(pf, pd, m)
+        table = slice_table(pf, pd, m, all_bands(m))
         for counts in enumerate_partitions(m):
             n = m + 1
             grids = []
@@ -415,8 +441,9 @@ def test_node_bits_do_not_depend_on_grid(monkeypatch):
             for g in probes:
                 alone = one_pe(counts, n, pf[g : g + 1], pd[g : g + 1])[0]
                 pair = one_pe(counts, n, pf[[g, 7]], pd[[g, 7]])[0]
+                lone = {v: band[:, g : g + 1] for v, band in table.items()}
                 shared_alone = error_probability_grid(
-                    counts, n, pf[g : g + 1], pd[g : g + 1], table=table[:, g : g + 1]
+                    counts, n, pf[g : g + 1], pd[g : g + 1], table=lone
                 )[0]
                 scalar = error_probability(placement, SensorModel(pd[g], pf[g]), n).value
                 assert all(grid[g] == alone for grid in grids), (counts, g)
@@ -579,17 +606,18 @@ def test_partition_pes_refuses_sensors_and_work_before_tables(monkeypatch):
 def test_grid_rejects_mismatched_slice_table():
     counts, n = (2, 1), 3
     pf, pd = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6, 0.7])
-    good = slice_table(pf, pd, 3)
+    good = slice_table(pf, pd, 3, (0, 1, 2))
     assert np.array_equal(
         error_probability_grid(counts, n, pf, pd, table=good),
         one_pe(counts, n, pf, pd),
     )
     bad = [
-        slice_table(pf[:2], pd[:2], 3),  # too few nodes
-        slice_table(pf, pd, 2),  # built for another m
-        slice_table(pf, pd, 4),
-        good[:-1],  # a missing column
-        good[:, 0],  # 1-D
+        slice_table(pf[:2], pd[:2], 3, (0, 1, 2)),  # too few nodes
+        slice_table(pf, pd, 2, (0, 1, 2)),  # built for another m
+        slice_table(pf, pd, 4, (0, 1, 2)),
+        {**good, 1: good[1][:-1]},  # a missing column
+        {v: band[:, 0] for v, band in good.items()},  # 1-D
+        slice_table(pf, pd, 3, (1, 2)),  # no band 0 for the empty row
     ]
     for table in bad:
         with pytest.raises(ValueError):
@@ -604,12 +632,14 @@ def test_class_table_cached_read_only():
                 cached = class_table(counts, n)
                 assert class_table(counts, n) is cached
                 assert not any(array.flags.writeable for array in cached)
-                used.update(np.unique(cached.column).tolist())
+                for v, row in zip(row_bands(counts, n), cached.column):
+                    used.update((v, int(i)) for i in np.unique(row))
         # every column of m is used by some placement: no column is dead weight
-        assert used == set(range(math.comb(m + 3, 3)))
+        assert used == {(v, i) for v in all_bands(m) for i in range(band_width(m, v))}
+        assert len(used) == math.comb(m + 3, 3)
     with pytest.raises(ValueError):
         class_table((2, 1), 3).weight[0] = 0.0
-    assert not likelihood_columns(4).flags.writeable
+    assert not likelihood_columns(4, all_bands(4)).flags.writeable
 
 
 def test_rejects_more_sensors_than_points():
