@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import BudgetError, argmin_with_ties, optimal_placements, partition_pes
+from .detection import BudgetError, argmin_with_ties, check_call, optimal_placements, partition_pes
 from .majorization import MajorizationVerdict, PlacementScale, chain_sort, compare, is_chain
 from .model import SensorModel, placement_label
 from .partitions import MAX_M, enumerate_partitions
@@ -36,6 +36,12 @@ STEP_MAX = 0.1
 
 CSV_BLOCK_NODES = 4096
 """Nodes per block of the CSV and JSON writers: their per-node lists stay this short."""
+
+PE_BLOCK_ENTRIES = 1 << 20
+"""P_e entries (8 MiB: partitions x point counts x nodes) a region map folds at a time.
+
+Smaller blocks made verify maps slower: the kernel's 512 KiB slice temporaries stay on
+glibc's heap only after a free this large has raised its mmap threshold."""
 
 THM41_TOL = 1e-12
 THM42_TOL = 1e-10
@@ -72,11 +78,11 @@ class RegionMap:
     ``step`` is None for ad-hoc window maps built from explicit axis values.
     Node g sits at axis indices ``i_f[g]``, ``i_d[g]`` and values ``pf[g]``,
     ``pd[g]``. ``tie``, ``pe_min``, ``margin`` and ``strict`` are the
-    :func:`~placedet.detection.argmin_with_ties` of the partitions' P_e;
-    ``winner[g]`` indexes the first tied partition, the unique one at a
-    strict node. ``cells`` shows the same nodes as
-    :class:`RegionCell` objects. Maps compare by identity (array fields have
-    no single truth value).
+    :func:`~placedet.detection.argmin_with_ties` of the partitions' P_e,
+    folded in block by block, so P_e is never held whole; ``winner[g]``
+    indexes the first tied partition, the unique one at a strict node.
+    ``cells`` shows the same nodes as :class:`RegionCell` objects. Maps
+    compare by identity (array fields have no single truth value).
     """
 
     m: int
@@ -95,25 +101,6 @@ class RegionMap:
     margin: np.ndarray
     strict: np.ndarray
     winner: np.ndarray
-
-    @classmethod
-    def from_pes(
-        cls, m, n, step, region, pf_values, pd_values, partitions, nodes, pes: np.ndarray
-    ) -> RegionMap:
-        """Tie-aware argmin of ``pes`` (one row per partition, one column per node).
-
-        ``nodes`` is the ``(i_f, i_d, pf, pd)`` of the axis values that
-        :func:`_nodes` gives, cut to p_d >= p_f when ``region`` is
-        ``pd_ge_pf``. Consumes ``pes`` (see
-        :func:`~placedet.detection.argmin_with_ties`); the map does not keep it.
-        """
-        i_f, i_d, pf, pd = nodes
-        tie, pe_min, margin, strict = argmin_with_ties(pes)
-        del pes  # a caller that passes its only reference frees P_e here
-        return cls(
-            m, n, step, region, pf_values, pd_values, partitions,
-            i_f, i_d, pf, pd, tie, pe_min, margin, strict, tie.argmax(axis=0),
-        )
 
     @property
     def cells(self) -> RegionCells:
@@ -183,7 +170,7 @@ def sweep_plane(m: int, n: int, step: float, region: str = "pd_ge_pf") -> Region
 def sweep_planes(
     m: int, n_values: Sequence[int], step: float, region: str = "pd_ge_pf"
 ) -> list[RegionMap]:
-    """:func:`sweep_plane` at each point count in ``n_values``, from one ``partition_pes`` call.
+    """:func:`sweep_plane` at each point count in ``n_values``, from shared ``partition_pes`` calls.
 
     The maps of one m share each slice's likelihood table, so it is built
     once for all of them; each map equals its own ``sweep_plane``.
@@ -215,55 +202,64 @@ def _nodes(pf_values, pd_values, half_plane: bool):
 
 
 def _region_maps(m, n_values, step, region, pf_values, pd_values) -> list[RegionMap]:
-    """Region maps of every partition of m at each n of ``n_values``, sharing their node arrays."""
-    nodes = _nodes(pf_values, pd_values, region == "pd_ge_pf")
+    """Region maps of every partition of m at each n of ``n_values``, sharing their node arrays.
+
+    Checked whole by ``check_call``; each block of ``PE_BLOCK_ENTRIES`` P_e entries is then
+    folded into the maps' arrays, made after the first block's kernel (as argmin's outputs were).
+    """
+    i_f, i_d, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
     parts = enumerate_partitions(m)
-    pes = partition_pes(parts, n_values, nodes[2], nodes[3])
-    return [
-        RegionMap.from_pes(m, n, step, region, pf_values, pd_values, parts, nodes, pes[j])
-        for j, n in enumerate(n_values)
-    ]
+    check_call(parts, n_values, pf, pd)
+    folds, width = [], max(1, PE_BLOCK_ENTRIES // (len(parts) * len(n_values)))
+    for lo in range(0, max(pf.size, 1), width):  # an empty map folds one empty block
+        nodes = slice(lo, lo + width)
+        pes = partition_pes(parts, n_values, pf[nodes], pd[nodes])
+        folds = folds or [(np.empty((len(parts), pf.size), bool), np.empty(pf.size),
+                           np.empty(pf.size), np.empty(pf.size, bool), np.empty(pf.size, np.intp))
+                          for _ in n_values]
+        for j, (tie, pe_min, margin, strict, winner) in enumerate(folds):
+            argmin_with_ties(pes[j], (tie[:, nodes], pe_min[nodes], margin[nodes], strict[nodes]))
+            winner[nodes] = tie[:, nodes].argmax(axis=0)
+        del pes  # so the next block is not evaluated beside this one
+    return [RegionMap(m, n, step, region, pf_values, pd_values, parts, i_f, i_d, pf, pd, *fold)
+            for n, fold in zip(n_values, folds)]
 
 
-def region_csv_text(region_map: RegionMap) -> str:
-    """CSV dump: one row per node, row order = p_d outer / p_f inner ascending.
+def region_csv_text(region_map: RegionMap):
+    """CSV dump as text blocks: one row per node, row order = p_d outer / p_f inner ascending.
 
-    Rows are rendered ``CSV_BLOCK_NODES`` nodes at a time, so apart from the
-    text no per-node list spans the whole map.
+    Yields the header, then the rows ``CSV_BLOCK_NODES`` nodes at a time, so
+    no per-node list or text spans the map; ``"".join`` gives the whole file.
     """
     rm = region_map
     labels = [placement_label(p) for p in rm.partitions]
     pf_labels = [f"{float(p):.6g}" for p in rm.pf_values]  # each axis value formatted once
     pd_labels = [f"{float(p):.6g}" for p in rm.pd_values]
-    blocks = ["p_f,p_d,best,tie_count,pe_min,margin\n"]
+    yield "p_f,p_d,best,tie_count,pe_min,margin\n"
     for lo in range(0, rm.pe_min.size, CSV_BLOCK_NODES):
         nodes = slice(lo, lo + CSV_BLOCK_NODES)
-        columns = zip(
-            rm.i_f[nodes].tolist(),
-            rm.i_d[nodes].tolist(),
-            rm.winner[nodes].tolist(),
-            rm.tie[:, nodes].sum(axis=0).tolist(),
-            rm.pe_min[nodes].tolist(),
-            rm.margin[nodes].tolist(),
-        )
-        blocks.append("".join([
+        columns = zip(rm.i_f[nodes].tolist(), rm.i_d[nodes].tolist(), rm.winner[nodes].tolist(),
+                      rm.tie[:, nodes].sum(axis=0).tolist(), rm.pe_min[nodes].tolist(),
+                      rm.margin[nodes].tolist())
+        yield "".join([
             f"{pf_labels[i_f]},{pd_labels[i_d]},{labels[w]},{ties},{pe_min!r},{margin!r}\n"
             for i_f, i_d, w, ties, pe_min, margin in columns
-        ]))
-    return "".join(blocks)
+        ])
 
 
-def region_json_text(region_map: RegionMap, schema_version: str) -> str:
-    """JSON dump with every tie set, in blocks like the CSV; an inf margin reads ``"inf"``.
+def region_json_text(region_map: RegionMap, schema_version: str):
+    """JSON dump as text blocks like the CSV's, with every tie set; an inf margin reads ``"inf"``.
 
     Each cell is written from a template, as ``json.dumps(indent=2)`` lays
     it out inside the envelope: floats by ``repr``, and labels quoted as
     they are, since digits and dashes need no escapes. Only the envelope
-    goes through ``json.dumps``.
+    goes through ``json.dumps``; ``"".join`` gives the whole file.
     """
     rm = region_map
     quoted = ['"' + placement_label(p) + '"' for p in rm.partitions]
-    blocks = []
+    envelope = {"schema_version": schema_version, "m": rm.m, "n": rm.n, "step": rm.step}
+    head, _, tail = json.dumps({**envelope, "cells": []}, indent=2).rpartition("[]")
+    yield head + "["
     for lo in range(0, rm.pe_min.size, CSV_BLOCK_NODES):
         nodes = slice(lo, lo + CSV_BLOCK_NODES)
         best = [[] for _ in range(rm.pe_min[nodes].size)]
@@ -280,23 +276,16 @@ def region_json_text(region_map: RegionMap, schema_version: str) -> str:
                 f'\n      "pe_min": {pe!r},\n      "margin": {margin},'
                 f'\n      "strict": {"true" if s else "false"}\n    }}'
             )
-        # led by the comma after the block before, so one join copies the text once
-        blocks.append("," * (lo > 0) + ",".join(cells))
-    envelope = {"schema_version": schema_version, "m": rm.m, "n": rm.n, "step": rm.step}
-    head, _, tail = json.dumps({**envelope, "cells": []}, indent=2).rpartition("[]")
-    return "".join([head, "[", *blocks, "\n  ]" if blocks else "]", tail, "\n"])
+        yield "," * (lo > 0) + ",".join(cells)  # led by the comma after the block before
+    yield ("\n  ]" if rm.pe_min.size else "]") + tail + "\n"
 
 
-def write_slices(handle, text: str) -> None:
-    """Write ``text`` in 1 MiB character slices: no encoded copy of the whole text is made."""
-    for lo in range(0, len(text), 1 << 20):
-        handle.write(text[lo : lo + (1 << 20)])
+def write_atomic(path: str, blocks) -> None:
+    """Write the text ``blocks`` (an iterable of ``str``, each written as it comes) to ``path``.
 
-
-def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename; mode 0o666 less the umask.
-
-    The text goes out through :func:`write_slices`.
+    They go to a temp file in the target directory, renamed over ``path``
+    after the last block (mode 0o666 less the umask); on a fault, ``path``
+    is left as it was. A bare ``str`` is written a character at a time.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")  # mode 0o600
@@ -305,7 +294,7 @@ def write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             os.fchmod(fd, 0o666 & ~umask)
-            write_slices(handle, text)
+            handle.writelines(blocks)  # one write per block, none joined
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

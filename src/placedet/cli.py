@@ -174,19 +174,20 @@ def _jsonable(value):
     return value
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(blocks, out: str | None) -> None:
+    """Write each text block as it comes; a fault mid-stdout leaves the blocks before it."""
     if out is None:
-        analysis.write_slices(sys.stdout, text)
+        sys.stdout.writelines(blocks)  # one write per block, none joined
         return
     try:
-        analysis.write_atomic(out, text)
+        analysis.write_atomic(out, blocks)
     except OSError as exc:  # name the user's path, not write_atomic's temp file
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
     body = {"schema_version": SCHEMA_VERSION, **payload}
-    _emit(json.dumps(_jsonable(body), indent=2) + "\n", out)
+    _emit((json.dumps(_jsonable(body), indent=2) + "\n",), out)
 
 
 def dispatch(args: argparse.Namespace) -> int:
@@ -216,19 +217,18 @@ def dispatch(args: argparse.Namespace) -> int:
 
     if args.subcommand == "partitions":
         lines = [placement_label(p) for p in enumerate_partitions(args.m)]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines) + "\n",), args.out)
         return 0
 
     if args.subcommand == "majorize":
-        _emit(_majorize_csv(args.m), args.out)
+        _emit((_majorize_csv(args.m),), args.out)
         return 0
 
     if args.subcommand == "sweep":
         region_map = analysis.sweep_plane(args.m, args.n, args.step, region=args.region)
-        if args.fmt == "csv":
-            _emit(analysis.region_csv_text(region_map), args.out)
-        else:
-            _emit(analysis.region_json_text(region_map, SCHEMA_VERSION), args.out)
+        blocks = (analysis.region_csv_text(region_map) if args.fmt == "csv"
+                  else analysis.region_json_text(region_map, SCHEMA_VERSION))
+        _emit(blocks, args.out)
         return 0
 
     if args.subcommand == "simulate":

@@ -18,9 +18,9 @@ band (:func:`placedet.model.row_bands`). :func:`partition_pes` is the one
 evaluator: it checks the nodes once, cuts them into slices and builds one
 table per slice (:func:`slice_table`) of the bands its placements read,
 which every placement and point count of the call reads. Region maps, the
-optimum search and a lone placement all go through it, so it is also the
-one gate: before any table it refuses placements of more than
-``partitions.MAX_M`` sensors and calls whose work exceeds
+optimum search and a lone placement all go through it, and through its one
+gate, :func:`check_call`: before any table it refuses placements of more
+than ``partitions.MAX_M`` sensors and calls whose work exceeds
 :data:`WORK_BUDGET` (:class:`BudgetError`). S adds the occupied rows
 once each and the shared empty-point row n - k times, then the classes, in
 a fixed order, so a node's P_e bits do not depend on the grid or window
@@ -67,9 +67,8 @@ summed over placements and point counts): each node's likelihood columns
 plus the entries the kernel gathers. A call over every placement of m
 builds all C(m + 3, 3) columns (all but band 0 at m = n = 1). It admits
 ``sweep --m 8 --n 9 --step 0.001 --region full`` (3.09e9; 8-10 s and a
-274 MiB resident peak on a shared 2-vCPU host, most of it the
-22 x 998,001 P_e array) and refuses ``verify thm42 --m 20 --n1 21 --n2 22``
-(3.42e9).
+116 MiB resident peak on a shared 2-vCPU host, most of it the map's own
+arrays) and refuses ``verify thm42 --m 20 --n1 21 --n2 22`` (3.42e9).
 """
 
 GRID_CHUNK_ENTRIES = 1 << 16
@@ -146,20 +145,14 @@ def error_probability(
     return ErrorProbability(value=float(value), placement=placement, model=model, n=n)
 
 
-def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
-    """P_e of placements of one m at each point count: (n_values, parts, nodes).
+def check_call(parts, n_values, pf, pd):
+    """The one gate of a :func:`partition_pes` call: its ``(pf, pd, bands, slice_width)``.
 
-    ``parts`` are canonical count tuples of the same m, at most ``MAX_M``,
-    ``pf`` and ``pd`` equal-length 1-D arrays of values in [0, 1], every n
-    in ``n_values`` at least m, and the call's work within
-    :data:`WORK_BUDGET`; all of this is checked once, before any table is
-    built. Node slices of :func:`slice_width` nodes run in the outer
-    loop. Each slice builds one :func:`slice_table` of the bands the call
-    reads (:func:`placedet.model.row_bands`): the block sizes of ``parts``,
-    and the empty row's band 0 when some n exceeds a placement's occupied
-    points. Every placement and point count reads it through
-    :func:`error_probability_grid`, so no table spans the whole grid. One
-    placement's P_e at one n is ``partition_pes((counts,), (n,), pf, pd)[0, 0]``.
+    Refuses the call unless ``parts`` are count tuples of one m, at most
+    ``MAX_M``, ``pf`` and ``pd`` equal-length 1-D arrays of values in
+    [0, 1], every n in ``n_values`` at least m, and the work within
+    :data:`WORK_BUDGET` (else :class:`BudgetError`). A region map calls it
+    once on all its nodes, before its first block.
     """
     m = sum(parts[0])
     for n in n_values:
@@ -181,8 +174,22 @@ def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
             f"work {pf.size * terms:,} exceeds the budget {WORK_BUDGET:,}: "
             f"{pf.size:,} nodes x {terms:,} likelihood columns and row x class terms"
         )
+    return pf, pd, bands, slice_width(columns, max(classes))
+
+
+def partition_pes(parts, n_values, pf, pd) -> np.ndarray:
+    """P_e of placements of one m at each point count: (n_values, parts, nodes).
+
+    :func:`check_call` admits the call before any table is built. Each node
+    slice builds one :func:`slice_table` of the bands the call reads (the
+    block sizes of ``parts``, and band 0 when some n exceeds a placement's
+    occupied points), which every placement and point count reads through
+    :func:`error_probability_grid`. One placement's P_e at one n is
+    ``partition_pes((counts,), (n,), pf, pd)[0, 0]``.
+    """
+    pf, pd, bands, width = check_call(parts, n_values, pf, pd)
+    m = sum(parts[0])
     pes = np.empty((len(n_values), len(parts), pf.size))
-    width = slice_width(columns, max(classes))
     for lo in range(0, pf.size, width):
         nodes = slice(lo, lo + width)
         f, d = pf[nodes], pd[nodes]
@@ -330,22 +337,24 @@ def optimal_placements(m: int, n: int, model: SensorModel) -> Optimum:
     return Optimum(best, float(pe_min[0]), float(margin[0]), bool(strict[0]))
 
 
-def argmin_with_ties(pes: np.ndarray):
+def argmin_with_ties(pes: np.ndarray, out=(None, None, None, None)):
     """The tie rule: ``(tie, pe_min, margin, strict)`` of a (partitions, nodes) P_e array.
 
     ``tie[i, g]`` marks partition i within TIE_EPS of the node's minimum
     ``pe_min[g]``; ``margin[g]`` is the gap to the best non-tied partition
     (+inf when none); ``strict[g]`` marks a unique minimiser with positive margin.
+    They are written into the arrays ``out`` names; a None is allocated.
 
     Consumes ``pes``: it is overwritten with the gaps to ``pe_min``, tied
     entries set to +inf, so no float temporary of its size is made. The
     margin is the least such gap, the same bits as the least non-tied P_e
     minus ``pe_min`` because fl(x - c) is monotone in x.
     """
-    pe_min = pes.min(axis=0)
+    tie, pe_min, margin, strict = out
+    pe_min = pes.min(axis=0, out=pe_min)
     pes -= pe_min
-    tie = pes <= TIE_EPS
+    tie = np.less_equal(pes, TIE_EPS, out=tie)
     np.putmask(pes, tie, np.inf)
-    margin = pes.min(axis=0)
-    strict = tie.sum(axis=0) == 1  # every non-tied gap, so the margin, exceeds TIE_EPS
+    margin = pes.min(axis=0, out=margin)
+    strict = np.equal(tie.sum(axis=0), 1, out=strict)  # every non-tied gap exceeds TIE_EPS
     return tie, pe_min, margin, strict

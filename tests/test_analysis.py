@@ -45,8 +45,8 @@ from placedet.analysis import (
     verify_prop51_pairs,
     write_atomic,
 )
-from placedet import detection
-from placedet.detection import class_count, class_table, partition_pes
+from placedet import analysis, detection
+from placedet.detection import argmin_with_ties, class_count, class_table, partition_pes
 from placedet.partitions import MAX_M, enumerate_partitions
 
 
@@ -122,8 +122,8 @@ def test_sweep_rejects_unknown_region():
 
 def test_csv_deterministic_and_well_formed():
     region_map = sweep_plane(3, 3, 0.05)
-    text = region_csv_text(region_map)
-    again = region_csv_text(sweep_plane(3, 3, 0.05))
+    text = "".join(region_csv_text(region_map))
+    again = "".join(region_csv_text(sweep_plane(3, 3, 0.05)))
     assert text == again
     lines = text.strip().split("\n")
     assert lines[0] == "p_f,p_d,best,tie_count,pe_min,margin"
@@ -372,8 +372,8 @@ def test_array_paths_match_per_cell_oracles(case):
         # JSON text also compares the Python types (int vs float, no numpy scalars)
         assert json.dumps(report) == json.dumps(monotone_on_scale_by_cells(region_map, scale, axis))
         reports[axis] = report
-    assert region_csv_text(region_map) == region_csv_by_cells(region_map)
-    assert region_json_text(region_map, "1") == region_json_by_cells(region_map, "1")
+    assert "".join(region_csv_text(region_map)) == region_csv_by_cells(region_map)
+    assert "".join(region_json_text(region_map, "1")) == region_json_by_cells(region_map, "1")
     if case == "window_m7n8":
         assert all(r["counterexamples"] for r in reports.values())
     if case == "m5n6_two_member_scale":
@@ -419,7 +419,9 @@ def test_conjecture_chain_reports_uncovered_ties():
     pes[[at[(3, 3, 1)], at[(3, 2, 2)]], 2] = 0.5
     pf_axis, pd_axis = (0.1, 0.2, 0.3), (0.9,)
     nodes = _nodes(pf_axis, pd_axis, half_plane=False)
-    region_map = RegionMap.from_pes(7, 7, None, "window", pf_axis, pd_axis, parts, nodes, pes)
+    tie, pe_min, margin, strict = argmin_with_ties(pes)
+    region_map = RegionMap(7, 7, None, "window", pf_axis, pd_axis, parts, *nodes,
+                           tie, pe_min, margin, strict, tie.argmax(axis=0))
     report = check_conjecture_chain(region_map)
     assert not report.passed and report.checked == 3
     assert report.counterexamples == (
@@ -432,19 +434,19 @@ def test_region_map_frees_power_table_before_argmin(monkeypatch):
     # At m = 8 a whole-grid power table (4 x 9 floats per node) outweighs
     # the P_e array (22 per node); held through the argmin pass, it raised
     # the peak of `sweep --m 8 --n 8 --step 0.001` from 273 to 385 MiB. A
-    # map now holds one slice table at a time and none into the argmin.
+    # map now holds one slice table at a time and none into the argmin
+    # (these 3,600 nodes are one P_e block).
     axis = tuple(np.linspace(0.01, 0.99, 60))
     nodes = len(axis) ** 2
     pes_bytes = len(enumerate_partitions(8)) * nodes * 8
     table_bytes = 4 * 9 * nodes * 8
     held = []
-    from_pes = RegionMap.from_pes.__func__
 
-    def traced_from_pes(cls, *args):
+    def traced_argmin(pes, out):
         held.append(tracemalloc.get_traced_memory()[0])
-        return from_pes(cls, *args)
+        return argmin_with_ties(pes, out)
 
-    monkeypatch.setattr(RegionMap, "from_pes", classmethod(traced_from_pes))
+    monkeypatch.setattr(analysis, "argmin_with_ties", traced_argmin)
     tracemalloc.start()
     try:
         sweep_window(8, 8, axis, axis)
@@ -454,34 +456,37 @@ def test_region_map_frees_power_table_before_argmin(monkeypatch):
 
 
 def _capture_pes(monkeypatch) -> list:
-    """Patch ``RegionMap.from_pes`` to record a copy of the P_e array of each map built.
+    """Patch the maps' ``partition_pes`` to record a copy of each P_e block a map evaluates.
 
-    ``from_pes`` consumes the array it is given, so the copy is taken first.
+    The map's argmin consumes the block, so the copy is taken first;
+    ``np.concatenate(blocks, axis=2)`` gives a map's whole (n_values,
+    partitions, nodes) P_e.
     """
     captured = []
-    from_pes = RegionMap.from_pes.__func__
 
-    def capture(cls, *args):
-        captured.append(args[-1].copy())
-        return from_pes(cls, *args)
+    def capture(*args):
+        pes = partition_pes(*args)
+        captured.append(pes.copy())
+        return pes
 
-    monkeypatch.setattr(RegionMap, "from_pes", classmethod(capture))
+    monkeypatch.setattr(analysis, "partition_pes", capture)
     return captured
 
 
 def test_kernel_peak_of_a_map_does_not_grow_with_nodes(monkeypatch):
-    # Past P_e itself, the kernel phase of a map holds one slice table and
-    # its temporaries, whatever the node count; only the node arrays (i_f,
-    # i_d, pf, pd: 32 bytes a node) grow. A whole-grid power table added
-    # 288 bytes a node at m = 8.
+    # Past the P_e block, the kernel phase of a map holds one slice table
+    # and its temporaries, whatever the node count; only the node arrays
+    # (i_f, i_d, pf, pd: 32 bytes a node) grow. A whole-grid power table
+    # added 288 bytes a node at m = 8. Both maps are one P_e block, and the
+    # peak is read as the kernel returns it, before the map's arrays exist.
     peaks = []
-    from_pes = RegionMap.from_pes.__func__
 
-    def traced_from_pes(cls, *args):
-        peaks.append(tracemalloc.get_traced_memory()[1] - args[-1].nbytes)
-        return from_pes(cls, *args)
+    def traced_partition_pes(*args):
+        pes = partition_pes(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - pes.nbytes)
+        return pes
 
-    monkeypatch.setattr(RegionMap, "from_pes", classmethod(traced_from_pes))
+    monkeypatch.setattr(analysis, "partition_pes", traced_partition_pes)
     sizes = []
     for side in (60, 120):
         axis = tuple(np.linspace(0.01, 0.99, side))
@@ -582,7 +587,8 @@ def test_region_map_pes_match_standalone_kernel_and_oracle(monkeypatch):
                 monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", entries)
                 region_map = build(n)
                 monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", default)
-                pes = captured.pop()
+                pes = np.concatenate(captured, axis=2)[0]
+                captured.clear()
                 pf, pd = region_map.pf, region_map.pd
                 assert pes.shape == (len(parts), pf.size)
                 for i, counts in enumerate(region_map.partitions):
@@ -603,22 +609,48 @@ def test_csv_labels_equal_per_node_formatting():
         sweep_window(3, 4, (), (0.5,)),  # no nodes: the JSON list is "[]"
     ]
     for region_map in maps:
-        assert region_csv_text(region_map) == region_csv_by_cells(region_map)
-        assert region_json_text(region_map, "1") == region_json_by_cells(region_map, "1")
+        assert "".join(region_csv_text(region_map)) == region_csv_by_cells(region_map)
+        assert "".join(region_json_text(region_map, "1")) == region_json_by_cells(region_map, "1")
 
 
 def test_write_atomic_peaks_below_the_text(tmp_path):
-    # the text goes out in 1 MiB slices, so no encoded copy of all of it is made
-    text = "0.123456789,0.5\n" * (1 << 20)  # 16 MiB
+    # each block is written as it comes, so neither the whole text nor an
+    # encoded copy of it is ever made
+    line = "0.123456789,0.5\n"
     path = tmp_path / "map.csv"
     tracemalloc.start()
     try:
-        write_atomic(str(path), text)
+        write_atomic(str(path), (line * (1 << 16) for _ in range(16)))  # 16 blocks of 1 MiB
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, peak
-    assert path.read_text() == text
+    assert path.read_text() == line * (1 << 20)
+
+
+def test_write_atomic_fault_mid_stream_keeps_the_old_target(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_text("old\n")
+
+    def blocks():
+        yield "new\n"
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        write_atomic(str(path), blocks())
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _assert_same_maps(got, expected):
+    assert len(got) == len(expected)
+    for a_map, b_map in zip(got, expected):
+        for f in dataclasses.fields(RegionMap):
+            a, b = getattr(a_map, f.name), getattr(b_map, f.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            else:
+                assert a == b, f.name
 
 
 @pytest.mark.parametrize(
@@ -626,17 +658,10 @@ def test_write_atomic_peaks_below_the_text(tmp_path):
     [(1, (1, 2), "pd_ge_pf"), (3, (3, 4), "pd_ge_pf"), (4, (4, 5, 7), "full"), (5, (6,), "pd_ge_pf")],
 )
 def test_multi_n_maps_equal_separate_maps(m, n_values, region):
-    # the maps of one m from one partition_pes call equal sweep_plane's, field by field
+    # the maps of one m from shared partition_pes calls equal sweep_plane's, field by field
     maps = sweep_planes(m, n_values, 0.05, region)
     assert [rm.n for rm in maps] == list(n_values)
-    for together, n in zip(maps, n_values):
-        alone = sweep_plane(m, n, 0.05, region)
-        for f in dataclasses.fields(RegionMap):
-            a, b = getattr(together, f.name), getattr(alone, f.name)
-            if isinstance(b, np.ndarray):
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
-            else:
-                assert a == b, f.name
+    _assert_same_maps(maps, [sweep_plane(m, n, 0.05, region) for n in n_values])
 
 
 def test_prop51_pairs_equal_one_report_per_pair():
@@ -656,9 +681,86 @@ def test_json_cells_at_blind_sensors():
             assert json.dumps(label) == f'"{label}"'
     axis = (0.0, 0.3, 1.0)
     region_map = sweep_window(6, 7, axis, axis)
-    text = region_json_text(region_map, "1")
+    text = "".join(region_json_text(region_map, "1"))
     assert text == region_json_by_cells(region_map, "1")
     labels = ["-".join(map(str, p)) for p in region_map.partitions]
     blind = [c for c in json.loads(text)["cells"] if c["p_f"] == c["p_d"]]
     assert len(blind) == 3
     assert all(c["best"] == labels and c["margin"] == "inf" and not c["strict"] for c in blind)
+
+
+def _whole_array_maps(m, n_values, step, region, pf_values, pd_values):
+    """The maps' fields from one whole-map ``partition_pes`` call and its argmin: the fold's oracle."""
+    i_f, i_d, pf, pd = _nodes(pf_values, pd_values, region == "pd_ge_pf")
+    parts = enumerate_partitions(m)
+    maps = []
+    for n, pes in zip(n_values, partition_pes(parts, n_values, pf, pd)):
+        tie, pe_min, margin, strict = argmin_with_ties(pes)
+        maps.append(RegionMap(m, n, step, region, pf_values, pd_values, parts,
+                              i_f, i_d, pf, pd, tie, pe_min, margin, strict, tie.argmax(axis=0)))
+    return maps
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_multi_block_maps_equal_the_whole_array_fold(monkeypatch, m):
+    # 7 nodes a block: the 190 half-plane nodes at step 0.05 end in a lone
+    # node, and the 400 of the full square in a block of 1
+    parts = len(enumerate_partitions(m))
+    values = grid_values(0.05)
+    window = (tuple(np.linspace(0.05, 0.95, 4)), (0.2, 0.5, 0.9))
+    cases = [
+        ((m,), 0.05, "pd_ge_pf", values, values),
+        ((m, m + 1, m + 3), 0.05, "pd_ge_pf", values, values),
+        ((m + 1,), 0.05, "full", values, values),
+        ((m,), None, "window", *window),
+        ((m,), None, "window", (), (0.5,)),  # no nodes
+    ]
+    for n_values, step, region, pf_values, pd_values in cases:
+        monkeypatch.setattr(analysis, "PE_BLOCK_ENTRIES", 7 * parts * len(n_values))
+        if step is None:
+            got = [sweep_window(m, n_values[0], pf_values, pd_values)]
+        else:
+            got = sweep_planes(m, n_values, step, region)
+        monkeypatch.undo()
+        _assert_same_maps(got, _whole_array_maps(m, n_values, step, region, pf_values, pd_values))
+
+
+def test_multi_block_map_peaks_at_its_arrays_and_one_block(monkeypatch):
+    # a map folds each P_e block into its own arrays and frees it before
+    # the next, so its peak is those arrays, one block and the kernel's
+    # slice temporaries. A block (22 x 16,384 doubles, 2.9 MB) is larger
+    # than the slack, so neither a second live block nor a whole P_e array
+    # (5.7 MB) fits under the bound.
+    axis = tuple(np.linspace(0.01, 0.99, 180))
+    parts = len(enumerate_partitions(8))
+    monkeypatch.setattr(analysis, "PE_BLOCK_ENTRIES", parts * 16_384)
+    sweep_window(8, 8, axis[:2], axis[:2])  # caches and imports outside the trace
+    tracemalloc.start()
+    try:
+        region_map = sweep_window(8, 8, axis, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(getattr(region_map, f.name).nbytes for f in dataclasses.fields(RegionMap)
+              if isinstance(getattr(region_map, f.name), np.ndarray))
+    block = parts * 16_384 * 8
+    slack = 4 * detection.GRID_CHUNK_ENTRIES * 8  # a slice table, its gathers, small temporaries
+    assert region_map.pe_min.size == 32_400 and block > slack
+    assert peak < own + block + slack, (peak, own)
+
+
+def test_multi_block_map_is_gated_before_its_first_table(monkeypatch):
+    # the whole node set is checked once before the first block, so a NaN
+    # in the last block or a map over the budget builds no table at all
+    def no_table(*args):
+        raise AssertionError("a slice table was built")
+
+    monkeypatch.setattr(detection, "slice_table", no_table)
+    monkeypatch.setattr(analysis, "PE_BLOCK_ENTRIES", 64)
+    axis = tuple(np.linspace(0.05, 0.95, 10))
+    with pytest.raises(ValueError, match="finite and in"):
+        sweep_window(4, 4, axis, (*axis, math.nan))
+    with pytest.raises(BudgetError):
+        sweep_plane(16, 17, 0.005)
+    with pytest.raises(AssertionError, match="slice table"):  # the window gated in does build
+        sweep_window(4, 4, axis, axis)

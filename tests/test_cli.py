@@ -82,6 +82,23 @@ def test_package_runs_as_module():
     assert done.stdout.splitlines() == ["3", "2-1", "1-1-1"]
 
 
+def test_closed_stdout_mid_stream_exits_two_with_one_line():
+    # the map streams to stdout block by block; a reader that goes away after
+    # the header turns the next write into one error line, no traceback
+    src = str(Path(placedet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "placedet", "sweep", "--m", "6", "--n", "6", "--step", "0.002"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as child:
+        assert child.stdout.readline() == b"p_f,p_d,best,tie_count,pe_min,margin\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 2
+    assert err == b"error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 def test_majorize_matrix(capsys):
     code, out, _ = run(capsys, "majorize", "--m", "4")
     assert code == 0
@@ -396,9 +413,9 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch, cpus, threads, expecte
 
     def fake_sweep(m, n, step, region):
         nodes = analysis._nodes((), (), half_plane=False)
-        return analysis.RegionMap.from_pes(
-            m, n, step, region, (), (), ((m,),), nodes, np.empty((1, 0))
-        )
+        tie, pe_min, margin, strict = detection.argmin_with_ties(np.empty((1, 0)))
+        return analysis.RegionMap(m, n, step, region, (), (), ((m,),), *nodes,
+                                  tie, pe_min, margin, strict, tie.argmax(axis=0))
 
     def fake_simulate(placement, model, n, trials, seed, tie_rule, threads):
         seen.append(threads)
