@@ -10,22 +10,23 @@ since dropping the largest term minimizes the leave-one-out sum. p_j(y)
 depends on y only through the per-block alarm counts, and equal blocks are
 interchangeable, so the sum runs over count classes (multisets of per-block
 alarm counts) weighted by their number of alarm vectors: M + 1 classes for
-the placement 1^M, at most 2^M. A likelihood depends only on the own-block
-count a, the false alarms c and the block size v, so all placements of M
-share C(M + 3, 3) columns (165 at M = 8): a band of (v + 1)(M - v + 1) per
-block size v, and each row of a placement reads the columns of its own
-band (:func:`placedet.model.row_bands`). :func:`partition_pes` is the one
+the placement 1^M, at most 2^M, whatever n (:func:`class_table`). A
+likelihood depends only on the own-block count a, the false alarms c and
+the block size v, so all placements of M share C(M + 3, 3) columns (165 at
+M = 8): a band of (v + 1)(M - v + 1) per block size v, and each row of a
+placement reads the columns of its own band
+(:func:`placedet.model.row_bands`). :func:`partition_pes` is the one
 evaluator: it checks the nodes once, cuts them into slices and builds one
 table per slice (:func:`slice_table`) of the bands its placements read,
 which every placement and point count of the call reads. Region maps, the
 optimum search and a lone placement all go through it, and through its one
-gate, :func:`check_call`: before any table it refuses placements of more
-than ``partitions.MAX_M`` sensors and calls whose work exceeds
-:data:`WORK_BUDGET` (:class:`BudgetError`). S adds the occupied rows
-once each and the shared empty-point row n - k times, then the classes, in
-a fixed order, so a node's P_e bits do not depend on the grid or window
-around it, the slice width or the other placements: ``pe``, ``optimal``
-and sweeps agree bit for bit.
+gate, :func:`check_call`: before any table it refuses malformed placements,
+placements of more than ``partitions.MAX_M`` sensors and calls whose work
+exceeds :data:`WORK_BUDGET` (:class:`BudgetError`). S adds the occupied
+rows once each and the shared empty-point row n - k times (n enters
+nowhere else), then the classes, in a fixed order, so a node's P_e bits do
+not depend on the grid or window around it, the slice width or the other
+placements: ``pe``, ``optimal`` and sweeps agree bit for bit.
 """
 
 from __future__ import annotations
@@ -148,16 +149,19 @@ def error_probability(
 def check_call(parts, n_values, pf, pd):
     """The one gate of a :func:`partition_pes` call: its ``(pf, pd, bands, slice_width)``.
 
-    Refuses the call unless ``parts`` are count tuples of one m, at most
-    ``MAX_M``, ``pf`` and ``pd`` equal-length 1-D arrays of values in
-    [0, 1], every n in ``n_values`` at least m, and the work within
-    :data:`WORK_BUDGET` (else :class:`BudgetError`). A region map calls it
-    once on all its nodes, before its first block.
+    Refuses the call unless ``parts`` are one or more tuples of counts >= 1
+    summing to one m <= ``MAX_M``, ``pf`` and ``pd`` equal-length 1-D arrays
+    of values in [0, 1], every n in ``n_values`` at least m, and the work
+    within :data:`WORK_BUDGET` (else :class:`BudgetError`). A region map
+    calls it once on all its nodes, before its first block.
     """
+    if not parts:
+        raise ValueError("no placements to evaluate")
     m = sum(parts[0])
-    for n in n_values:
-        if m > n:
-            raise ValueError(f"m={m} sensors exceed n={n} points")
+    if any(sum(p) != m for p in parts):
+        raise ValueError(f"parts must all place m={m} sensors, as {tuple(parts[0])} does")
+    if m > min(n_values, default=m):
+        raise ValueError(f"m={m} sensors exceed n={min(n_values)} points")
     pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
     if pf.ndim != 1 or pf.shape != pd.shape:
         raise ValueError(f"pf and pd must be 1-D of equal length, got {pf.shape} and {pd.shape}")
@@ -208,18 +212,18 @@ def error_probability_grid(
 
     ``pf`` and ``pd`` are the slice's equal-length 1-D arrays, and
     ``table`` is their :func:`slice_table` for m = ``sum(counts)``, holding
-    at least the bands the placement's rows read. Only the shapes of those
-    bands are checked (the nodes and n are :func:`partition_pes`'s to
-    check), and the kernel gathers each row's columns from its band into S
-    and the running max. A node's value does not depend on the other nodes
-    of the slice: alone it gets the same bits.
+    at least the bands the placement's rows read. Only the counts and those
+    bands' shapes are checked (the nodes and n are :func:`partition_pes`'s),
+    and the kernel gathers each row's columns from its band into S and the
+    running max. A node's value does not depend on the other nodes of the
+    slice: alone it gets the same bits.
     """
-    size, m = np.size(pf), sum(counts)
-    classes, bands = class_table(tuple(counts), n), row_bands(counts, n)
+    size, m, bands = np.size(pf), sum(counts), row_bands(counts, n)
     for v in set(bands):
         if v not in table or table[v].shape != (band_width(m, v), size):
             raise ValueError(f"table must be a slice_table of these {size} nodes for m={m}")
-    return _weighted_gaps(table, bands, classes.column, classes.mult, classes.weight)[:size] / n
+    weight, column = class_table(tuple(counts))
+    return _weighted_gaps(table, bands, column, n - len(counts), weight)[:size] / n
 
 
 def slice_width(entries: int, classes: int) -> int:
@@ -232,30 +236,25 @@ def slice_width(entries: int, classes: int) -> int:
 
 
 class ClassTable(NamedTuple):
-    """The count classes of a placement over n points, as read-only arrays.
+    """The count classes of a placement, at any point count, as read-only arrays.
 
-    ``column`` (rows, classes) names the likelihood of each row and class
-    as a column of the row's band (:func:`placedet.model.block_columns`),
-    so a row of that band's view in a :func:`slice_table`; rows are the
-    blocks in order, then the shared empty row when n > k
-    (:func:`placedet.model.row_bands`). ``mult`` is the hypotheses per row
-    (1, or n - k for the empty row), ``weight`` the alarm vectors per class
-    (sum 2^m).
+    ``column`` (k + 1, classes) is each row's column in its band of a
+    :func:`slice_table` (:func:`placedet.model.block_columns`): the blocks
+    in order, then the empty row, read only when n > k. ``weight`` is the
+    alarm vectors per class (sum 2^m).
     """
 
-    mult: np.ndarray
     weight: np.ndarray
     column: np.ndarray
 
 
 @functools.cache
-def class_table(counts: tuple[int, ...], n: int) -> ClassTable:
-    """:class:`ClassTable` of ``counts`` over n points, built once per (counts, n).
+def class_table(counts: tuple[int, ...]) -> ClassTable:
+    """:class:`ClassTable` of ``counts``, built once per placement.
 
-    Unbounded: a region map calls the kernel for every partition and point
-    count on every node slice, in a fixed cycle that a bounded cache
-    shorter than the cycle would miss on every call. Every placement of
-    m = 14 at two point counts holds 5.4 MiB, of m = 20 at one 78 MiB.
+    Unbounded, since a region map's kernel calls cycle through every
+    placement, but it holds at most one table per placement of m <= MAX_M:
+    95.3 MiB of arrays for every m <= 20, 40.4 MiB of it at m = 20.
     """
     # per run of g equal blocks of size v: every multiset of own-block alarm
     # counts, weighted by its arrangements times prod C(v, a)
@@ -270,31 +269,29 @@ def class_table(counts: tuple[int, ...], n: int) -> ClassTable:
         ])
     combos = list(itertools.product(*runs))
     a = np.array([[x for alarms, _ in c for x in alarms] for c in combos], dtype=np.intp).T
-    column = block_columns(a, counts, n)
-    mult = np.array([1.0 if v else n - len(counts) for v in row_bands(counts, n)])
     weight = np.array([math.prod(w for _, w in c) for c in combos], dtype=float)
-    table = ClassTable(mult, weight, column)
+    table = ClassTable(weight, block_columns(a, counts))
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def _weighted_gaps(table, bands, column, mult, weight) -> np.ndarray:
+def _weighted_gaps(table, bands, column, empty, weight) -> np.ndarray:
     """Sum over classes of weight x (S - max) for one node slice.
 
     ``table`` is a :func:`slice_table` (one (columns, nodes) view per
-    band), ``bands`` the band each row reads and ``column`` (rows, classes)
-    the column of each row and class within it. S adds the rows in order,
-    each times its ``mult`` (1, or n - k for the empty row); the
+    band), ``bands`` the band of each row read and ``column`` (rows,
+    classes) the column of each row and class within it. S adds the rows
+    in order, the band-0 empty row ``empty`` (n - k) times; the
     (classes, nodes) arrays die on return.
     """
     s = table[bands[0]][column[0]]
     mx = s.copy()
-    for r in range(1, len(column)):
+    for r in range(1, len(bands)):
         pmf = table[bands[r]][column[r]]
         np.maximum(mx, pmf, out=mx)
-        if mult[r] != 1.0:
-            pmf *= mult[r]
+        if not bands[r] and empty != 1:
+            pmf *= empty
         s += pmf
     s -= mx
     s *= weight[:, None]

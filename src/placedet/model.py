@@ -131,8 +131,11 @@ def row_bands(counts: Sequence[int], n: int) -> tuple[int, ...]:
     """The band each row of ``counts`` over n points reads.
 
     Block r reads band ``counts[r]``; the shared empty row, present when
-    n > k, reads band 0.
+    n > k, reads band 0. A block of no sensors would read band 0 too, so a
+    count below 1 is refused here, before any table.
     """
+    if len(counts) == 0 or min(counts) < 1:
+        raise ValueError(f"counts {tuple(counts)} must be one or more blocks of at least 1 sensor")
     return tuple(counts) + (0,) * (n > len(counts))
 
 
@@ -182,36 +185,35 @@ def slice_table(pf, pd, m: int, bands: tuple[int, ...]) -> dict[int, np.ndarray]
     return views
 
 
-def block_columns(alarms: np.ndarray, counts: Sequence[int], n: int) -> np.ndarray:
-    """(rows, cols) column of each row's likelihood within the row's band.
+def block_columns(alarms: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """(k + 1, cols) column of each row's likelihood within the row's band.
 
     ``alarms`` (k, cols) holds the own-block alarm count of each occupied
     point in each column (an alarm vector or a count class). Rows are the
     blocks of ``counts`` in order, then the shared empty row (v = a = 0,
-    every alarm false) when n > k, as :func:`row_bands` lists them. With s
+    every alarm false), which :func:`row_bands` reads only when n > k. With s
     alarms in all, a row of block size v and a own alarms reads column
     a * (m - v + 1) + s - a of band v, and the empty row column s of band 0.
     The indices take the dtype of ``alarms``, widened if needed to hold
     every column of the widest band of m = ``sum(counts)``.
     """
-    m, k = sum(counts), len(counts)
+    m = sum(counts)
     dtype = np.promote_types(alarms.dtype, np.min_scalar_type(-band_width(m, m // 2)))
     a = alarms.astype(dtype, copy=False)
     s = a.sum(axis=0, dtype=dtype)
     v = np.array(counts, dtype=dtype)[:, None]
-    rows = a * (m - v + 1) + (s - a)
-    return np.vstack([rows, s[None]]) if n > k else rows
+    return np.vstack([a * (m - v + 1) + (s - a), s[None]])
 
 
 @dataclass(frozen=True)
 class PmfTable:
     """Conditional pmf of every alarm vector, with the empty-point rows collapsed.
 
-    ``rows[r, y]`` is p_j(y): occupied point j reads ``rows[j - 1]``, and
-    when n > k every empty point reads the shared final row ``rows[k]`` (it
-    does not depend on the placement). The column is the observation index
-    y in 0..2^M - 1. :func:`placedet.detection.map_decide` decides from it.
-    The array is frozen read-only so tables can be shared across workers.
+    ``rows[r, y]`` is p_j(y) at observation index y in 0..2^M - 1:
+    occupied point j reads ``rows[j - 1]``, and when n > k every empty point
+    reads the shared final row ``rows[k]``, which only then exists
+    (:func:`row_bands`). :func:`placedet.detection.map_decide` decides from
+    it. The array is frozen read-only so tables can be shared across workers.
     """
 
     model: SensorModel
@@ -230,8 +232,8 @@ class PmfTable:
         bits = ((y[None, :] >> np.arange(m - 1, -1, -1, dtype=np.int32)[:, None]) & 1).astype(np.int8)
         starts = np.cumsum((0,) + placement.counts[:-1])
         alarms = np.add.reduceat(bits, starts, axis=0, dtype=np.int8)  # (k, 2^M) block sums
-        column = block_columns(alarms, placement.counts, n)
         bands = row_bands(placement.counts, n)
+        column = block_columns(alarms, placement.counts)[: len(bands)]
         table = slice_table([model.p_f], [model.p_d], m, tuple(sorted(set(bands))))
         rows = np.empty(column.shape)
         for r, v in enumerate(bands):  # row by row: the gather's intp index holds 2^M entries

@@ -178,6 +178,8 @@ def pe_grid_full_table(counts, n: int, pf, pd) -> np.ndarray:
     columns itself: row r is a block of size v = counts[r], or the empty row
     (v = 0) when n exceeds the occupied points, and column i of that row is
     a = i // (m - v + 1) own alarms and c = i % (m - v + 1) false alarms.
+    The empty row's multiplicity n - k is worked out here, not read from the
+    package.
     Builds the powers over the whole grid, one 1-D ``np.power`` of the
     stacked bases per exponent (an element's bits then do not depend on the
     array's length), forms every row x class likelihood with four gathers
@@ -188,13 +190,13 @@ def pe_grid_full_table(counts, n: int, pf, pd) -> np.ndarray:
     axis, so the order is the same for one node and for many, and the
     kernel must match this bit for bit.
     """
-    classes = class_table(tuple(counts), n)
+    weight, columns = class_table(tuple(counts))
     m, sizes = sum(counts), list(counts) + [0] * (n > len(counts))
-    exponents = np.zeros((4,) + classes.column.shape, dtype=np.intp)
-    for r, (v, column) in enumerate(zip(sizes, classes.column)):
+    exponents = np.zeros((4, len(sizes), weight.size), dtype=np.intp)
+    for r, (v, column) in enumerate(zip(sizes, columns)):
         a, c = np.divmod(column.astype(np.intp), m - v + 1)
         exponents[:, r] = [a, v - a, c, m - v - c]
-    mult, weight = classes.mult, classes.weight
+    mult = [1.0 if v else float(n - len(counts)) for v in sizes]
     pf, pd = np.asarray(pf, dtype=float), np.asarray(pd, dtype=float)
     bases = np.stack([pd, 1.0 - pd, pf, 1.0 - pf])
     powers = np.array([np.power(bases, float(k)) for k in range(exponents.max() + 1)])

@@ -47,6 +47,7 @@ from placedet.analysis import (
 )
 from placedet import analysis, detection
 from placedet.detection import argmin_with_ties, class_count, class_table, partition_pes
+from placedet.model import row_bands
 from placedet.partitions import MAX_M, enumerate_partitions
 
 
@@ -67,7 +68,7 @@ def test_sweep_budget_refusal_names_cost():
     # the 199 * 200 / 2 half-plane nodes
     terms = math.comb(16 + 3, 3)
     for p in enumerate_partitions(16):
-        terms += class_table(p, 17).column.size
+        terms += len(row_bands(p, 17)) * class_table(p).weight.size
     cost = f"work {199 * 200 // 2 * terms:,} exceeds the budget {detection.WORK_BUDGET:,}"
     with pytest.raises(BudgetError, match=re.escape(cost)):
         sweep_plane(16, 17, 0.005)
@@ -524,16 +525,17 @@ def test_map_peak_holds_one_pe_array():
 
 def test_map_walk_builds_each_class_table_once(monkeypatch):
     # verify thm42 at m = 14 calls the kernel for 2 x 135 (n, partition)
-    # pairs on every 96-node slice, in a fixed cycle: each pair's count
-    # classes are built on the first slice only, however long the cycle.
+    # pairs on every 96-node slice, in a fixed cycle: each partition's count
+    # classes are built once, on the first slice, and serve both point
+    # counts, however long the cycle.
     m, n_values = 14, (15, 16)
     parts = tuple(enumerate_partitions(m))
     built = []
     block_columns = detection.block_columns
 
-    def counting(alarms, counts, n):
-        built.append((counts, n))
-        return block_columns(alarms, counts, n)
+    def counting(alarms, counts):
+        built.append(counts)
+        return block_columns(alarms, counts)
 
     monkeypatch.setattr(detection, "block_columns", counting)
     detection.class_table.cache_clear()
@@ -545,7 +547,7 @@ def test_map_walk_builds_each_class_table_once(monkeypatch):
         pes = partition_pes(parts, n_values, pf, pd)
     finally:
         detection.class_table.cache_clear()
-    assert sorted(built) == sorted((counts, n) for n in n_values for counts in parts)
+    assert sorted(built) == sorted(parts)
     assert np.isfinite(pes).all()
 
 

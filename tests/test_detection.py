@@ -19,6 +19,7 @@ from placedet import (
     error_probability_grid,
     map_decide,
     optimal_placements,
+    partition_count,
 )
 from placedet import detection
 from placedet.analysis import COUNTEREXAMPLE_PROBES, grid_values, sweep_window
@@ -231,28 +232,32 @@ def test_grid_evaluator_matches_oracle_at_random_points():
 
 
 def test_count_class_table_shape():
+    # one table per placement serves every n: the blocks, then the empty
+    # row, which counts n - k times and is read only when n > k
     for m in range(1, 9):
-        assert class_table((1,) * m, m).weight.size == m + 1
+        assert class_table((1,) * m).weight.size == m + 1
         for counts in enumerate_partitions(m):
+            weight, column = class_table(counts)
+            assert column.shape == (len(counts) + 1, weight.size)
             for n in (m, m + 2):
-                mult, weight, column = class_table(counts, n)
+                bands = row_bands(counts, n)
                 exponents = np.stack([
-                    likelihood_columns(m, (v,))[:, row]
-                    for v, row in zip(row_bands(counts, n), column)
+                    likelihood_columns(m, (v,))[:, row] for v, row in zip(bands, column)
                 ], axis=1)
                 assert class_count(counts) == weight.size
                 assert weight.sum() == 2**m
-                assert mult.sum() == n
+                assert sum(1 if v else n - len(counts) for v in bands) == n
                 assert (exponents.sum(axis=0) == m).all()
-    assert sum(class_table(c, 8).weight.size for c in enumerate_partitions(8)) == 591
+    assert sum(class_table(c).weight.size for c in enumerate_partitions(8)) == 591
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.intp])
 def test_block_columns_name_the_likelihood_formula(dtype):
     # for every block size v, own alarms a and total alarms s, the row's
     # column is p_d^a (1-p_d)^(v-a) p_f^(s-a) (1-p_f)^(m-v-s+a); the empty
-    # row (v = a = 0) follows the blocks when n > k. Each column lies in its
-    # row's band, and up to m = 20 (the widest band: 121 columns) int8 holds it.
+    # row (v = a = 0) follows the blocks, and row_bands reads it when n > k.
+    # Each column lies in its row's band, and up to m = 20 (the widest band:
+    # 121 columns) int8 holds it.
     for m in range(1, 21):
         for v in range(1, m + 1):
             counts = (v, m - v)[: 1 + (v < m)]
@@ -260,21 +265,21 @@ def test_block_columns_name_the_likelihood_formula(dtype):
                 [(a, s) for a in range(v + 1) for s in range(a, a + m - v + 1)], dtype=dtype
             ).T
             alarms = np.stack([a, s - a])[: len(counts)]
-            blocks = [(v, a), (m - v, s - a)][: len(counts)]
-            for n, rows in ((len(counts), blocks), (len(counts) + 1, [*blocks, (0, 0 * s)])):
-                column = block_columns(alarms, counts, n)
-                assert column.shape == (len(rows), s.size) and column.dtype == dtype
-                assert [size for size, _ in rows] == list(row_bands(counts, n))
-                for (size, own), got in zip(rows, column):
-                    expected = [own, size - own, s - own, m - size - s + own]
-                    band = likelihood_columns(m, (size,))
-                    assert np.array_equal(band[:, got], expected), (m, v, size, n)
+            rows = [(v, a), (m - v, s - a)][: len(counts)] + [(0, 0 * s)]
+            column = block_columns(alarms, counts)
+            assert column.shape == (len(rows), s.size) and column.dtype == dtype
+            for n, read in ((len(counts), len(counts)), (len(counts) + 1, len(rows))):
+                assert [size for size, _ in rows[:read]] == list(row_bands(counts, n))
+            for (size, own), got in zip(rows, column):
+                expected = [own, size - own, s - own, m - size - s + own]
+                band = likelihood_columns(m, (size,))
+                assert np.array_equal(band[:, got], expected), (m, v, size)
 
 
 def _per_node(counts, n):
     """Floats per node of the kernel's larger slice array: its slice table, or its classes."""
     columns = sum(band_width(sum(counts), v) for v in own_bands(counts, n))
-    return max(columns, class_table(counts, n).weight.size)
+    return max(columns, class_table(counts).weight.size)
 
 
 def test_grid_slices_match_one_slice(monkeypatch):
@@ -362,7 +367,7 @@ def test_band_tables_match_full_table_oracle(monkeypatch):
 
 def test_grid_memory_bounded_by_slice():
     counts, n, nodes = (3, 2, 1, 1, 1), 9, 20_000
-    one_temporary = class_table(counts, n).column.size * nodes * 8
+    one_temporary = len(row_bands(counts, n)) * class_table(counts).weight.size * nodes * 8
     pf = np.linspace(0.01, 0.5, nodes)
     tracemalloc.start()
     try:
@@ -393,7 +398,7 @@ def test_grid_kernel_bit_identical_to_full_table_oracle():
     for m in range(1, 9):
         for counts in enumerate_partitions(m):
             for n in (m, m + 2):
-                classes = class_table(counts, n).weight.size
+                classes = class_table(counts).weight.size
                 width = detection.slice_width(_per_node(counts, n), classes)
                 for size in (1, 40, 2 * width + 1):
                     pf, pd = _oracle_nodes(rng, size)
@@ -578,6 +583,50 @@ def test_partition_pes_checks_before_building_a_table(monkeypatch):
         detection.partition_pes(parts, (3, 4), pf, pd)
 
 
+def test_partition_pes_refuses_malformed_parts_before_tables(monkeypatch):
+    # a block of no sensors would read band 0 as the empty row does, and an
+    # unchecked (2, 0) on 4 points scores 0.8625, above the (n - 1)/n = 0.75
+    # ceiling, where (2,) gives 0.6125. Such parts, and no parts or parts of
+    # unequal sums, are refused with one line before any table, and the
+    # kernel refuses the count too.
+    assert one_pe((2,), 4, [0.2], [0.7])[0] == pytest.approx(0.6125, abs=1e-15)
+
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    good = slice_table([0.2], [0.7], 2, (0, 1, 2))
+    for name in ("slice_table", "class_table"):
+        monkeypatch.setattr(detection, name, no_table)
+    cases = [
+        ((), "no placements to evaluate"),
+        (((2, 0),), r"counts \(2, 0\) must be one or more blocks of at least 1 sensor"),
+        (((3, -1),), r"counts \(3, -1\) must be"),
+        (((),), r"counts \(\) must be"),
+        (((2,), (1, 1, 0)), r"counts \(1, 1, 0\) must be"),
+        (((2,), (3,)), r"parts must all place m=2 sensors, as \(2,\) does"),
+    ]
+    for parts, message in cases:
+        with pytest.raises(ValueError, match=message) as refused:
+            detection.partition_pes(parts, (4,), [0.2], [0.7])
+        assert "\n" not in str(refused.value)
+    for counts in ((2, 0), (3, -1)):
+        with pytest.raises(ValueError, match="at least 1 sensor"):
+            error_probability_grid(counts, 4, [0.2], [0.7], table=good)
+
+
+def test_class_tables_shared_across_point_counts():
+    # the count classes are the placement's alone: optima at three point
+    # counts build one table per placement
+    m = 10
+    class_table.cache_clear()
+    try:
+        for n in (m, m + 1, m + 3):
+            optimal_placements(m, n, SensorModel(p_d=0.7, p_f=0.2))
+        assert class_table.cache_info().currsize == partition_count(m) == 42
+    finally:
+        class_table.cache_clear()
+
+
 def test_partition_pes_refuses_sensors_and_work_before_tables(monkeypatch):
     # work = nodes x (C(m + 3, 3) + rows x count classes per placement and n)
     parts, n_values = enumerate_partitions(4), (4, 6)
@@ -585,7 +634,7 @@ def test_partition_pes_refuses_sensors_and_work_before_tables(monkeypatch):
     terms = math.comb(4 + 3, 3)
     for n in n_values:
         for counts in parts:
-            terms += class_table(counts, n).column.size
+            terms += len(row_bands(counts, n)) * class_table(counts).weight.size
     work = pf.size * terms
     monkeypatch.setattr(detection, "WORK_BUDGET", work)
     assert detection.partition_pes(parts, n_values, pf, pd).shape == (2, 5, 3)
@@ -628,17 +677,17 @@ def test_class_table_cached_read_only():
     for m in range(1, 9):
         used = set()
         for counts in enumerate_partitions(m):
+            cached = class_table(counts)
+            assert class_table(counts) is cached
+            assert not any(array.flags.writeable for array in cached)
             for n in (m, m + 2):
-                cached = class_table(counts, n)
-                assert class_table(counts, n) is cached
-                assert not any(array.flags.writeable for array in cached)
                 for v, row in zip(row_bands(counts, n), cached.column):
                     used.update((v, int(i)) for i in np.unique(row))
         # every column of m is used by some placement: no column is dead weight
         assert used == {(v, i) for v in all_bands(m) for i in range(band_width(m, v))}
         assert len(used) == math.comb(m + 3, 3)
     with pytest.raises(ValueError):
-        class_table((2, 1), 3).weight[0] = 0.0
+        class_table((2, 1)).weight[0] = 0.0
     assert not likelihood_columns(4, all_bands(4)).flags.writeable
 
 
