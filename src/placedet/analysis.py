@@ -142,14 +142,14 @@ class RegionCells(Sequence):
 def grid_values(step: float) -> tuple[float, ...]:
     """Grid nodes k*step for k = 1 .. round(1/step) - 1 (covers [step, 1-step]).
 
-    ``STEP_MIN`` bounds the node count, so a finer step is refused as a
-    budget (:class:`BudgetError`); a step above ``STEP_MAX``, or NaN, is a
-    bad value (``ValueError``).
+    ``STEP_MIN`` bounds the node count, so a positive step below it is
+    refused as a budget (:class:`BudgetError`); a step of 0 or below, above
+    ``STEP_MAX``, or NaN, is a bad value (``ValueError``).
     """
+    if not 0.0 < step <= STEP_MAX:  # NaN and -inf fail this too
+        raise ValueError(f"step {step} outside [{STEP_MIN}, {STEP_MAX}]")
     if step < STEP_MIN:
         raise BudgetError(f"step {step} outside [{STEP_MIN}, {STEP_MAX}]")
-    if not step <= STEP_MAX:  # NaN fails this too
-        raise ValueError(f"step {step} outside [{STEP_MIN}, {STEP_MAX}]")
     top = round(1.0 / step) - 1
     return tuple(k * step for k in range(1, top + 1))
 

@@ -23,7 +23,7 @@ import sys
 from . import analysis, montecarlo
 from .detection import BudgetError, error_probability, optimal_placements
 from .majorization import MajorizationVerdict, compare
-from .model import SensorModel, canonicalize_placement, placement_label
+from .model import Placement, SensorModel, canonicalize_placement, placement_label
 from .partitions import enumerate_partitions
 
 SCHEMA_VERSION = "1"
@@ -127,10 +127,11 @@ def validate(args: argparse.Namespace) -> None:
 
     These are: ``--m`` equals the ``--placement`` total (m is set from it),
     ``--threads >= 1`` (capped at the CPU count; ``sweep`` and ``verify``
-    accept it, only ``simulate`` uses it, and no output depends on it), the
-    ``--ties`` names, the flags ``verify thm42``, ``conjecture`` and
-    ``prop51`` need, and that no ``verify`` target is given a value flag it
-    does not read. Each rule on values (ranges, m <= n, the sensor bound,
+    accept it, only ``simulate`` uses it, and no output depends on it), a
+    ``--placement`` of no more entries than ``--n`` (zeros included: a
+    placement itself keeps only its occupied counts), the ``--ties`` names,
+    the flags ``verify thm42``, ``conjecture`` and ``prop51`` need, and that
+    no ``verify`` target is given a value flag it does not read. Each rule on values (ranges, m <= n, the sensor bound,
     trials, m < n1 < n2) belongs to the library call that refuses it.
     """
     ns = vars(args)  # the namespace's own dict: writes land on args
@@ -144,6 +145,8 @@ def validate(args: argparse.Namespace) -> None:
         if ns["threads"] < 1:
             raise ValueError(f"--threads must be >= 1, got {ns['threads']}")
         ns["threads"] = min(ns["threads"], os.cpu_count() or 1)
+    if placement is not None and len(placement) > ns["n"]:
+        raise ValueError(f"count vector of length {len(placement)} exceeds n={ns['n']}")
     if "tie_rule" in ns:
         ns["tie_rule"] = {"uniform": "uniform_random", "lowest": "lowest_index"}[ns["tie_rule"]]
     target = ns.get("target")
@@ -192,7 +195,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 def dispatch(args: argparse.Namespace) -> int:
     if args.subcommand == "pe":
-        placement = canonicalize_placement(args.placement, args.n)
+        placement = canonicalize_placement(args.placement)
         model = SensorModel(p_d=args.pd, p_f=args.pf)
         result = error_probability(placement, model, args.n)
         _emit_json(
@@ -232,7 +235,7 @@ def dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "simulate":
-        placement = canonicalize_placement(args.placement, args.n)
+        placement = canonicalize_placement(args.placement)
         model = SensorModel(p_d=args.pd, p_f=args.pf)
         sim = montecarlo.simulate(
             placement,
@@ -304,8 +307,8 @@ _VERDICT_CODES = {
 
 
 def _majorize_csv(m: int) -> str:
-    parts = enumerate_partitions(m)
-    labels = [placement_label(p) for p in parts]
+    parts = [Placement(p) for p in enumerate_partitions(m)]  # canonical: compare reads them as is
+    labels = [p.label() for p in parts]
     # each unordered pair is decided once: compare(q, p) is compare(p, q) flipped
     codes = [["E"] * len(parts) for _ in parts]
     for i, p in enumerate(parts):

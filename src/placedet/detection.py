@@ -45,7 +45,6 @@ from .model import (
     SensorModel,
     band_width,
     block_columns,
-    canonicalize_placement,
     row_bands,
     slice_table,
 )
@@ -137,11 +136,8 @@ def class_count(counts: tuple[int, ...]) -> int:
     )
 
 
-def error_probability(
-    placement: Placement, model: SensorModel, n: int | None = None
-) -> ErrorProbability:
-    """Exact P_e of the MAP detector; requires m <= n."""
-    n = placement.n if n is None else n
+def error_probability(placement: Placement, model: SensorModel, n: int) -> ErrorProbability:
+    """Exact P_e of the MAP detector with ``placement`` on n points; requires m <= n."""
     value = partition_pes((placement.counts,), (n,), [model.p_f], [model.p_d])[0, 0, 0]
     return ErrorProbability(value=float(value), placement=placement, model=model, n=n)
 
@@ -326,7 +322,7 @@ def optimal_placements(m: int, n: int, model: SensorModel) -> Optimum:
     """
     if not 1 <= m <= n:
         raise ValueError(f"require 1 <= m <= n, got m={m}, n={n}")
-    candidates = [canonicalize_placement(counts, n) for counts in enumerate_partitions(m)]
+    candidates = [Placement(counts) for counts in enumerate_partitions(m)]
     parts = tuple(p.counts for p in candidates)
     pes = partition_pes(parts, (n,), [model.p_f], [model.p_d])[0]
     tie, pe_min, margin, strict = argmin_with_ties(pes)

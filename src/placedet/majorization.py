@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Sequence
 
-from .model import Placement
+from .model import Placement, canonicalize_placement
 
 Counts = Sequence[int]
 
@@ -34,12 +34,7 @@ class MajorizationVerdict(Enum):
 
 
 def _as_counts(x: Placement | Counts) -> tuple[int, ...]:
-    if isinstance(x, Placement):
-        return x.counts
-    counts = tuple(int(v) for v in x)
-    if any(v < 0 for v in counts):
-        raise ValueError(f"negative counts: {x}")
-    return tuple(sorted((v for v in counts if v > 0), reverse=True))
+    return x.counts if isinstance(x, Placement) else canonicalize_placement(x).counts
 
 
 def compare(x: Placement | Counts, y: Placement | Counts) -> MajorizationVerdict:

@@ -5,7 +5,9 @@ points. Each sensor alarms with probability ``p_d`` when the intruder is at
 its own point and with probability ``p_f`` otherwise, independently given
 the intruder location. A placement assigns a count of sensors to each point;
 because sensors are identical, only the sorted count vector matters, so the
-canonical form is a non-increasing integer partition with zeros trimmed.
+canonical form is a non-increasing integer partition with zeros trimmed
+(:class:`Placement`). N is not part of a placement: it enters P_e only as
+the weight of the empty points, and every evaluator takes it as an argument.
 
 Joint alarm vectors ``(y_1, ..., y_M)`` are packed into integers with y_1 as
 the most significant bit, i.e. the index equals the decimal value of the
@@ -55,26 +57,26 @@ class SensorModel:
 
 @dataclass(frozen=True)
 class Placement:
-    """Canonical sensor placement: non-increasing positive counts per point.
+    """Canonical sensor placement: the non-increasing positive counts of its points.
 
-    ``counts`` holds only the occupied points (zeros trimmed); conceptually
-    it is padded with zeros out to length ``n``. ``m`` is the total sensor
-    count, ``n`` the number of points.
+    ``counts`` holds only the occupied points (zeros trimmed), so a placement
+    is an integer partition of ``m``. The number of points n is not part of
+    it: every evaluator takes n, and reads the n - k empty points as one
+    shared row.
     """
 
     counts: tuple[int, ...]
-    m: int
-    n: int
 
     def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.counts):
-            raise ValueError(f"counts must be positive after trimming: {self.counts}")
+        if not self.counts or min(self.counts) < 1:
+            raise ValueError(f"counts must be one or more positive entries: {self.counts}")
         if any(a < b for a, b in zip(self.counts, self.counts[1:])):
             raise ValueError(f"counts must be non-increasing: {self.counts}")
-        if sum(self.counts) != self.m:
-            raise ValueError(f"sum(counts)={sum(self.counts)} != m={self.m}")
-        if len(self.counts) > self.n:
-            raise ValueError(f"{len(self.counts)} occupied points exceed n={self.n}")
+
+    @property
+    def m(self) -> int:
+        """Total sensor count."""
+        return sum(self.counts)
 
     @property
     def k(self) -> int:
@@ -91,23 +93,20 @@ def placement_label(counts: Sequence[int]) -> str:
     return "-".join(map(str, counts))
 
 
-def canonicalize_placement(raw_counts: Sequence[int], n: int) -> Placement:
+def canonicalize_placement(raw_counts: Sequence[int]) -> Placement:
     """Sort counts descending, trim zeros, and wrap as a Placement.
 
     Permutations of the count vector yield the same error probability under a
     uniform intruder prior, so the sorted form is the canonical representative.
-    Idempotent on already-canonical input.
+    Negative counts and a vector with no sensors are refused. Idempotent on
+    already-canonical input.
     """
     counts = [int(v) for v in raw_counts]
     if any(v < 0 for v in counts):
         raise ValueError(f"negative sensor counts not allowed: {raw_counts}")
-    if len(counts) > n:
-        raise ValueError(f"count vector of length {len(counts)} exceeds n={n}")
-    m = sum(counts)
-    if m < 1:
+    if sum(counts) < 1:
         raise ValueError("placement must contain at least one sensor")
-    trimmed = tuple(sorted((v for v in counts if v > 0), reverse=True))
-    return Placement(trimmed, m, n)
+    return Placement(tuple(sorted((v for v in counts if v > 0), reverse=True)))
 
 
 def power_table(pf, pd, top) -> tuple[np.ndarray, ...]:
@@ -212,18 +211,17 @@ class PmfTable:
     ``rows[r, y]`` is p_j(y) at observation index y in 0..2^M - 1:
     occupied point j reads ``rows[j - 1]``, and when n > k every empty point
     reads the shared final row ``rows[k]``, which only then exists
-    (:func:`row_bands`). :func:`placedet.detection.map_decide` decides from
-    it. The array is frozen read-only so tables can be shared across workers.
+    (:func:`row_bands`). ``n`` is the point count :meth:`build` was given.
+    :func:`placedet.detection.map_decide` decides from it. The array is
+    frozen read-only so tables can be shared across workers.
     """
 
-    model: SensorModel
     placement: Placement
     n: int
     rows: np.ndarray
 
     @classmethod
-    def build(cls, placement: Placement, model: SensorModel, n: int | None = None) -> "PmfTable":
-        n = placement.n if n is None else n
+    def build(cls, placement: Placement, model: SensorModel, n: int) -> "PmfTable":
         m = placement.m
         if m > n:
             raise ValueError(f"m={m} sensors exceed n={n} points")
@@ -239,4 +237,4 @@ class PmfTable:
         for r, v in enumerate(bands):  # row by row: the gather's intp index holds 2^M entries
             np.take(table[v][:, 0], column[r], out=rows[r])
         rows.flags.writeable = False
-        return cls(model=model, placement=placement, n=n, rows=rows)
+        return cls(placement=placement, n=n, rows=rows)

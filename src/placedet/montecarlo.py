@@ -68,7 +68,7 @@ class SimResult:
 def simulate(
     placement: Placement,
     model: SensorModel,
-    n: int | None = None,
+    n: int,
     trials: int = 1_000_000,
     seed: int = 0,
     tie_rule: str = "uniform_random",
@@ -87,7 +87,6 @@ def simulate(
     ``partitions.MAX_M`` sensors on MAX_M + 1 points; a larger (m, n), or
     m > n, is refused before any table is built.
     """
-    n = placement.n if n is None else n
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if tie_rule not in TIE_RULES:

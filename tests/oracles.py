@@ -327,14 +327,14 @@ def region_csv_by_cells(region_map) -> str:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_pe2(placement, model: SensorModel) -> float:
-    """Independent closed-form P_e for the two-sensor, two-point cases.
+def closed_form_pe2(placement, model: SensorModel, n: int) -> float:
+    """Independent closed-form P_e of ``placement`` on n points, for two sensors on two points.
 
     Term-by-term transcription of the explicit four-observation minima for
     the placements (1,1) and (2); valid on the whole (p_f, p_d) unit square.
     Used as an oracle against ``error_probability``.
     """
-    if placement.m != 2 or placement.n != 2:
+    if placement.m != 2 or n != 2:
         raise ValueError("closed form covers m = n = 2 only")
     pd, pf = model.p_d, model.p_f
     if placement.counts == (1, 1):

@@ -63,15 +63,15 @@ def test_criterion_01_partition_facts():
 
 def test_criterion_02_two_sensor_oracle():
     with criterion(2, "two-sensor-closed-form-oracle", 5.0):
-        placements = [canonicalize_placement([1, 1], 2), canonicalize_placement([2], 2)]
+        placements = [canonicalize_placement([1, 1]), canonicalize_placement([2])]  # on 2 points
         worst = 0.0
         for kd in range(1, 100):
             for kf in range(1, 100):
                 model = SensorModel(p_d=kd * 0.01, p_f=kf * 0.01)
                 for placement in placements:
                     gap = abs(
-                        error_probability(placement, model).value
-                        - closed_form_pe2(placement, model)
+                        error_probability(placement, model, 2).value
+                        - closed_form_pe2(placement, model, 2)
                     )
                     worst = max(worst, gap)
         assert worst <= 1e-12, f"worst oracle gap {worst:.3e}"
@@ -222,20 +222,20 @@ def test_criterion_09_monte_carlo_battery():
             p_f = rng.uniform(0.05, 0.95)
             instances.append((counts, n, p_d, p_f, 1000 + i))
         for counts, n, p_d, p_f, seed in instances:
-            placement = canonicalize_placement(counts, n)
+            placement = canonicalize_placement(counts)
             model = SensorModel(p_d=p_d, p_f=p_f)
-            exact = error_probability(placement, model).value
-            result = simulate(placement, model, trials=1_000_000, seed=seed)
+            exact = error_probability(placement, model, n).value
+            result = simulate(placement, model, n, trials=1_000_000, seed=seed)
             assert abs(result.pe_hat - exact) <= 4 * result.std_err, (
                 counts, n, p_d, p_f, seed, result.pe_hat, exact, result.std_err,
             )
         # determinism: seed fixed, thread count varied
         counts, n, p_d, p_f, seed = instances[0]
-        placement = canonicalize_placement(counts, n)
+        placement = canonicalize_placement(counts)
         model = SensorModel(p_d=p_d, p_f=p_f)
-        serial = simulate(placement, model, trials=1_000_000, seed=seed, threads=1)
-        pooled = simulate(placement, model, trials=1_000_000, seed=seed, threads=3)
-        repeat = simulate(placement, model, trials=1_000_000, seed=seed, threads=1)
+        serial = simulate(placement, model, n, trials=1_000_000, seed=seed, threads=1)
+        pooled = simulate(placement, model, n, trials=1_000_000, seed=seed, threads=3)
+        repeat = simulate(placement, model, n, trials=1_000_000, seed=seed, threads=1)
         assert serial == pooled == repeat
 
 

@@ -163,7 +163,7 @@ def test_region_predicate_matches_brute_force_spot():
         best = min(
             ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)),
             key=lambda c: error_probability(
-                canonicalize_placement(c, 4), SensorModel(p_d=p_d, p_f=p_f)
+                canonicalize_placement(c), SensorModel(p_d=p_d, p_f=p_f), 4
             ).value,
         )
         assert verdict.placement == best
@@ -231,14 +231,14 @@ def test_point_count_leaves_best_sets_unchanged():
 def test_two_sensor_case_identity():
     # On the region p_d >= p_f, p_d(1-p_d) >= p_f(1-p_f) the split-vs-stack
     # gap reduces to (p_d - p_f)(1 - p_d - p_f)/2 exactly.
-    split = canonicalize_placement([1, 1], 2)
-    stack = canonicalize_placement([2], 2)
+    split = canonicalize_placement([1, 1])
+    stack = canonicalize_placement([2])
     for p_f, p_d in [(0.2, 0.6), (0.1, 0.5), (0.3, 0.45), (0.05, 0.9)]:
         assert p_d * (1 - p_d) >= p_f * (1 - p_f)
         model = SensorModel(p_d=p_d, p_f=p_f)
         gap = (
-            error_probability(split, model).value
-            - error_probability(stack, model).value
+            error_probability(split, model, 2).value
+            - error_probability(stack, model, 2).value
         )
         assert gap == pytest.approx((p_d - p_f) * (1 - p_d - p_f) / 2, abs=1e-12)
 

@@ -193,12 +193,14 @@ def test_sweep_budget_refusal(capsys):
 
 
 @pytest.mark.parametrize(
-    "step, prefix", [("0.0001", "refused: "), ("0.5", "error: "), ("nan", "error: ")]
+    "step, prefix",
+    [("0.0001", "refused: "), ("0.5", "error: "), ("nan", "error: "), ("0", "error: "),
+     ("-0.05", "error: "), ("-inf", "error: ")],
 )
 def test_sweep_step_refusal_names_its_class(capsys, step, prefix):
-    # a step below STEP_MIN bounds the node count, so it is a budget refusal;
-    # a coarse or NaN step is a bad value
-    code, out, err = run(capsys, "sweep", "--m", "3", "--n", "3", "--step", step)
+    # a positive step below STEP_MIN bounds the node count, so it is a budget
+    # refusal; a coarse, NaN, zero or negative step is a bad value
+    code, out, err = run(capsys, "sweep", "--m", "3", "--n", "3", f"--step={step}")
     assert (code, out) == (2, "")
     assert err.startswith(prefix) and err.count("\n") == 1
 
@@ -220,6 +222,8 @@ def test_sweep_step_refusal_names_its_class(capsys, step, prefix):
         ("sweep", "--m", "3", "--n", "0"),
         ("verify", "thm42", "--m", "4", "--n1", "4", "--n2", "6"),
         ("verify", "thm41", "--max-m", "21"),
+        ("pe", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "1-0-1"),
+        ("simulate", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "1-0-1"),
     ],
 )
 def test_refusals_come_before_any_table(monkeypatch, capsys, argv):
@@ -238,6 +242,19 @@ def test_refusals_come_before_any_table(monkeypatch, capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith(("error: ", "refused: ")) and err.count("\n") == 1
     assert "table built" not in err
+
+
+@pytest.mark.parametrize("command", ["pe", "simulate"])
+@pytest.mark.parametrize(
+    "n, placement", [("2", "1-0-1"), ("3", "1-1-1-1"), ("4", "2-2-1-1-1")],
+    ids=["zero-padded", "more-entries-than-points", "five-occupied-on-four"],
+)
+def test_placement_longer_than_n_is_refused(capsys, command, n, placement):
+    # a typed vector may carry zeros, but no more entries than --n
+    code, out, err = run(capsys, command, "--n", n, "--pd", "0.6", "--pf", "0.2",
+                         "--placement", placement)
+    length = len(placement.split("-"))
+    assert (code, out, err) == (2, "", f"error: count vector of length {length} exceeds n={n}\n")
 
 
 def test_simulate_subcommand(capsys):
@@ -390,6 +407,7 @@ def test_unexpected_fault_exits_two_with_one_line(capsys, monkeypatch, fault):
         ("pe", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "2-x"),
         ("verify", "counterexample", "--step", "0.5", "--m", "9"),
         ("verify", "thm41", "--m", "9"),
+        ("verify", "thm41", "--step", "0"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

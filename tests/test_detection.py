@@ -46,8 +46,8 @@ from oracles import (
     positions_from_counts,
 )
 
-P11 = canonicalize_placement([1, 1], n=2)
-P20 = canonicalize_placement([2], n=2)
+P11 = canonicalize_placement([1, 1])  # both evaluated on two points
+P20 = canonicalize_placement([2])
 
 
 def one_pe(counts, n, pf, pd):
@@ -67,26 +67,26 @@ def own_bands(counts, n):
 
 def test_two_sensor_values():
     model = SensorModel(p_d=0.6, p_f=0.2)
-    assert error_probability(P11, model).value == pytest.approx(0.3, abs=1e-12)
-    assert error_probability(P20, model).value == pytest.approx(0.26, abs=1e-12)
+    assert error_probability(P11, model, 2).value == pytest.approx(0.3, abs=1e-12)
+    assert error_probability(P20, model, 2).value == pytest.approx(0.26, abs=1e-12)
 
 
 def test_closed_form_values():
     model = SensorModel(p_d=0.6, p_f=0.2)
-    assert closed_form_pe2(P11, model) == pytest.approx(0.3, abs=1e-12)
-    assert closed_form_pe2(P20, model) == pytest.approx(0.26, abs=1e-12)
+    assert closed_form_pe2(P11, model, 2) == pytest.approx(0.3, abs=1e-12)
+    assert closed_form_pe2(P20, model, 2) == pytest.approx(0.26, abs=1e-12)
 
 
 def test_closed_form_half_when_uninformative():
     for p in (0.1, 0.5, 0.8):
         model = SensorModel(p_d=p, p_f=p)
-        assert closed_form_pe2(P11, model) == pytest.approx(0.5, abs=1e-15)
-        assert closed_form_pe2(P20, model) == pytest.approx(0.5, abs=1e-15)
+        assert closed_form_pe2(P11, model, 2) == pytest.approx(0.5, abs=1e-15)
+        assert closed_form_pe2(P20, model, 2) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_closed_form_rejects_other_shapes():
     with pytest.raises(ValueError):
-        closed_form_pe2(canonicalize_placement([2, 1], 3), SensorModel(0.6, 0.2))
+        closed_form_pe2(canonicalize_placement([2, 1]), SensorModel(0.6, 0.2), 3)
 
 
 def test_closed_form_agrees_on_coarse_grid():
@@ -95,22 +95,22 @@ def test_closed_form_agrees_on_coarse_grid():
         for kd in range(1, 20):
             model = SensorModel(p_d=kd * 0.05, p_f=kf * 0.05)
             for placement in (P11, P20):
-                exact = error_probability(placement, model).value
-                assert abs(exact - closed_form_pe2(placement, model)) <= 1e-12
+                exact = error_probability(placement, model, 2).value
+                assert abs(exact - closed_form_pe2(placement, model, 2)) <= 1e-12
 
 
 def test_uninformative_model_hits_upper_bound():
     model = SensorModel(p_d=0.4, p_f=0.4)
     for counts in [(3,), (2, 1), (1, 1, 1)]:
-        p = canonicalize_placement(counts, n=3)
-        assert error_probability(p, model).value == pytest.approx(2 / 3, abs=1e-12)
+        p = canonicalize_placement(counts)
+        assert error_probability(p, model, 3).value == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_boundary_tie_between_shapes():
     # p_d(1-p_d) = p_f(1-p_f) at (0.1, 0.9): splitting or stacking both give 0.1.
     model = SensorModel(p_d=0.9, p_f=0.1)
-    pe_split = error_probability(P11, model).value
-    pe_stack = error_probability(P20, model).value
+    pe_split = error_probability(P11, model, 2).value
+    pe_stack = error_probability(P20, model, 2).value
     assert pe_split == pytest.approx(0.1, abs=1e-12)
     assert abs(pe_split - pe_stack) <= 1e-12
 
@@ -122,7 +122,7 @@ def test_leave_one_out_identity_random_instances():
         n = rng.randint(m, m + 3)
         counts = rng.choice(list(enumerate_partitions(m)))
         model = SensorModel(p_d=rng.random(), p_f=rng.random())
-        placement = canonicalize_placement(counts, n=n)
+        placement = canonicalize_placement(counts)
         direct = pe_from_positions(
             positions_from_counts(counts), n, model.p_d, model.p_f
         )
@@ -133,8 +133,8 @@ def test_leave_one_out_identity_random_instances():
 def test_permutation_invariance_of_block_assignment():
     # Non-canonical layouts evaluated through raw position vectors.
     model = SensorModel(p_d=0.77, p_f=0.18)
-    canonical = canonicalize_placement([2, 1, 1], n=4)
-    reference = error_probability(canonical, model).value
+    canonical = canonicalize_placement([2, 1, 1])
+    reference = error_probability(canonical, model, 4).value
     for positions in ([2, 2, 3, 1], [4, 1, 1, 3], [3, 4, 4, 2]):
         scrambled = pe_from_positions(positions, 4, model.p_d, model.p_f)
         assert abs(scrambled - reference) <= 1e-12
@@ -147,7 +147,7 @@ def test_flip_symmetry_of_error_probability():
         n = rng.randint(m, m + 2)
         counts = rng.choice(list(enumerate_partitions(m)))
         model = SensorModel(p_d=rng.random(), p_f=rng.random())
-        placement = canonicalize_placement(counts, n=n)
+        placement = canonicalize_placement(counts)
         a = error_probability(placement, model, n).value
         b = error_probability(placement, flip_model(model), n).value
         assert abs(a - b) <= 1e-12
@@ -163,7 +163,7 @@ def test_pe_range_invariant(p_d, p_f, pick):
     m = rng.randint(1, 5)
     n = rng.randint(m, m + 2)
     counts = rng.choice(list(enumerate_partitions(m)))
-    placement = canonicalize_placement(counts, n=n)
+    placement = canonicalize_placement(counts)
     value = error_probability(placement, SensorModel(p_d, p_f), n).value
     assert -1e-12 <= value <= (n - 1) / n + 1e-12
 
@@ -171,13 +171,13 @@ def test_pe_range_invariant(p_d, p_f, pick):
 def test_uniform_vs_doubled_inequality_coarse():
     # Spot grid here; the step-0.02 version runs in the acceptance suite.
     for m in (2, 3, 4):
-        uniform = canonicalize_placement([1] * m, n=m)
-        doubled = canonicalize_placement([2] + [1] * (m - 2), n=m)
+        uniform = canonicalize_placement([1] * m)
+        doubled = canonicalize_placement([2] + [1] * (m - 2))
         for kf in range(1, 20):
             for kd in range(kf, 20):
                 model = SensorModel(p_d=kd * 0.05, p_f=kf * 0.05)
-                pe_uni = error_probability(uniform, model).value
-                pe_two = error_probability(doubled, model).value
+                pe_uni = error_probability(uniform, model, m).value
+                pe_two = error_probability(doubled, model, m).value
                 assert pe_uni >= pe_two - 1e-12
 
 
@@ -187,7 +187,7 @@ def test_grid_evaluator_matches_scalar():
     pd = np.array([rng.random() for _ in range(40)])
     for counts, n in [((2, 1, 1), 5), ((3, 2), 5), ((1, 1, 1, 1), 4), ((4,), 6)]:
         grid = one_pe(counts, n, pf, pd)
-        placement = canonicalize_placement(counts, n=n)
+        placement = canonicalize_placement(counts)
         for g in range(pf.size):
             scalar = error_probability(
                 placement, SensorModel(p_d=pd[g], p_f=pf[g]), n
@@ -207,7 +207,7 @@ def test_count_class_kernel_matches_oracle_for_every_partition():
         for counts in enumerate_partitions(m):
             positions = positions_from_counts(counts)
             for n in (m, m + 2):
-                placement = canonicalize_placement(counts, n=n)
+                placement = canonicalize_placement(counts)
                 grid = one_pe(counts, n, pf, pd)
                 for g, (p_f, p_d) in enumerate(DIFFERENTIAL_POINTS):
                     expected = pe_from_positions(positions, n, p_d, p_f)
@@ -442,7 +442,7 @@ def test_node_bits_do_not_depend_on_grid(monkeypatch):
                         error_probability_grid(counts, n, pf, pd, table=shared)
                     ))
             monkeypatch.setattr(detection, "GRID_CHUNK_ENTRIES", default)
-            placement = canonicalize_placement(counts, n)
+            placement = canonicalize_placement(counts)
             for g in probes:
                 alone = one_pe(counts, n, pf[g : g + 1], pd[g : g + 1])[0]
                 pair = one_pe(counts, n, pf[[g, 7]], pd[[g, 7]])[0]
@@ -693,7 +693,7 @@ def test_class_table_cached_read_only():
 
 def test_rejects_more_sensors_than_points():
     with pytest.raises(ValueError):
-        error_probability(canonicalize_placement([2, 1], 3), SensorModel(0.9, 0.1), n=2)
+        error_probability(canonicalize_placement([2, 1]), SensorModel(0.9, 0.1), n=2)
     with pytest.raises(ValueError):
         one_pe((2, 1), 2, np.array([0.1]), np.array([0.9]))
     with pytest.raises(ValueError):
@@ -701,38 +701,38 @@ def test_rejects_more_sensors_than_points():
 
 
 def test_map_decide_full_tie_when_uninformative():
-    placement = canonicalize_placement([2, 1, 1], n=4)
+    placement = canonicalize_placement([2, 1, 1])
     model = SensorModel(p_d=0.3, p_f=0.3)
-    table = PmfTable.build(placement, model)
+    table = PmfTable.build(placement, model, 4)
     for y in range(16):
         assert map_decide(y, table) == frozenset({1, 2, 3, 4})
 
 
 def test_map_decide_prefers_loaded_point():
-    placement = canonicalize_placement([2], n=2)
+    placement = canonicalize_placement([2])
     model = SensorModel(p_d=0.9, p_f=0.1)
-    table = PmfTable.build(placement, model)
+    table = PmfTable.build(placement, model, 2)
     assert map_decide(observation_index((1, 1)), table) == frozenset({1})
 
 
 def test_map_decide_all_quiet_points_to_empty_point():
-    placement = canonicalize_placement([2, 1, 1, 0], n=4)
+    placement = canonicalize_placement([2, 1, 1, 0])
     model = SensorModel(p_d=0.9, p_f=0.1)
-    assert map_decide(0, PmfTable.build(placement, model)) == frozenset({4})
+    assert map_decide(0, PmfTable.build(placement, model, 4)) == frozenset({4})
 
 
 def test_map_decide_ties_across_empty_points():
-    placement = canonicalize_placement([2, 2], n=6)
+    placement = canonicalize_placement([2, 2])
     model = SensorModel(p_d=0.9, p_f=0.1)
-    assert map_decide(0, PmfTable.build(placement, model)) == frozenset({3, 4, 5, 6})
+    assert map_decide(0, PmfTable.build(placement, model, 6)) == frozenset({3, 4, 5, 6})
 
 
 def test_map_decide_with_prebuilt_table():
-    placement = canonicalize_placement([2, 1], n=4)
+    placement = canonicalize_placement([2, 1])
     model = SensorModel(p_d=0.8, p_f=0.2)
     table = PmfTable.build(placement, model, 4)
     for y in range(8):
-        assert map_decide(y, table) == map_decide(y, PmfTable.build(placement, model))
+        assert map_decide(y, table) == map_decide(y, PmfTable.build(placement, model, 4))
 
 
 def test_map_decide_matches_position_oracle():
@@ -745,7 +745,7 @@ def test_map_decide_matches_position_oracle():
         for counts in enumerate_partitions(m):
             positions = positions_from_counts(counts)
             for n in (m, m + 1, m + 2):
-                placement = canonicalize_placement(counts, n)
+                placement = canonicalize_placement(counts)
                 for p_f, p_d in nodes:
                     table = PmfTable.build(placement, SensorModel(p_d=p_d, p_f=p_f), n)
                     for y in range(1 << m):
@@ -763,7 +763,7 @@ def test_pmf_table_and_evaluator_describe_one_detector():
     for m in range(1, 9):
         n = m + 1
         for counts in enumerate_partitions(m):
-            placement, k = canonicalize_placement(counts, n), len(counts)
+            placement, k = canonicalize_placement(counts), len(counts)
             for p_f, p_d in nodes:
                 model = SensorModel(p_d=p_d, p_f=p_f)
                 rows = PmfTable.build(placement, model, n).rows
@@ -811,9 +811,9 @@ def test_optimal_respects_search_bound():
 
 
 def test_point_count_override():
-    placement = canonicalize_placement([2, 1], n=3)
+    placement = canonicalize_placement([2, 1])
     model = SensorModel(p_d=0.8, p_f=0.3)
-    at3 = error_probability(placement, model).value
+    at3 = error_probability(placement, model, 3).value
     at5 = error_probability(placement, model, n=5).value
     assert at3 != pytest.approx(at5, abs=1e-6)
     direct5 = pe_from_positions([1, 1, 2], 5, 0.8, 0.3)

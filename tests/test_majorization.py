@@ -35,14 +35,23 @@ def test_equal_multisets():
 
 
 def test_placement_inputs_accepted():
-    x = canonicalize_placement([4], n=4)
-    y = canonicalize_placement([3, 1], n=4)
+    x = canonicalize_placement([4])
+    y = canonicalize_placement([3, 1])
     assert compare(x, y) is A
 
 
 def test_rejects_different_totals():
     with pytest.raises(ValueError):
         compare((3, 1), (3,))
+
+
+@pytest.mark.parametrize("x, y", [((0, 0), (0,)), ((), ()), ((2, -1), (1,))])
+def test_rejects_vectors_no_placement_has(x, y):
+    # counts are canonicalized as placements are: no sensors, or a negative count, is refused
+    with pytest.raises(ValueError):
+        compare(x, y)
+    with pytest.raises(ValueError):
+        is_chain([x])
 
 
 def test_antisymmetry_and_transitivity_exhaustive():

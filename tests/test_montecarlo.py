@@ -36,10 +36,10 @@ from placedet.partitions import MAX_M
 def test_golden_error_counts(counts, n, p_d, p_f, trials, tie_rule, errors, threads):
     # pins the random stream: m = 9 crosses a byte boundary, m = 8 fills one
     # byte, p_d = p_f ties every hypothesis, m = 16 spans two bytes
-    placement = canonicalize_placement(counts, n=n)
+    placement = canonicalize_placement(counts)
     model = SensorModel(p_d=p_d, p_f=p_f)
     result = simulate(
-        placement, model, trials=trials, seed=11, tie_rule=tie_rule, threads=threads
+        placement, model, n, trials=trials, seed=11, tie_rule=tie_rule, threads=threads
     )
     assert result.errors == errors
 
@@ -85,7 +85,7 @@ def test_counts_match_unblocked_oracle(
     # its table lookups decide as the per-observation likelihood argmax does
     monkeypatch.setattr(montecarlo, "_decision_tables", shared_decision_tables)
     counts, n = _ORACLE_PLACEMENTS[m]
-    placement = canonicalize_placement(counts, n=n)
+    placement = canonicalize_placement(counts)
     model = SensorModel(p_d=p_d, p_f=p_f)
     block_rows = max(1, montecarlo.DRAW_BLOCK_ENTRIES // m)
     for trials in (1, block_rows - 1, block_rows + 1, CHUNK_TRIALS + 5):
@@ -95,7 +95,7 @@ def test_counts_match_unblocked_oracle(
         )
         for threads in (1, 2, 3):
             result = simulate(
-                placement, model, trials=trials, seed=seed, tie_rule=tie_rule,
+                placement, model, n, trials=trials, seed=seed, tie_rule=tie_rule,
                 threads=threads,
             )
             assert result.errors == expected, (trials, threads)
@@ -105,11 +105,11 @@ def test_counts_match_unblocked_oracle(
 def test_draw_loop_memory_is_bounded_per_worker(threads):
     # the per-worker buffers take about 1.4 MiB at m = 9; a loop that
     # allocates its temporaries per block or per chunk peaks above 2 MiB
-    placement = canonicalize_placement((3, 2, 2, 1, 1), n=10)
+    placement = canonicalize_placement((3, 2, 2, 1, 1))
     model = SensorModel(p_d=0.7, p_f=0.2)
     tracemalloc.start()
     try:
-        simulate(placement, model, trials=1_000_000, seed=5, threads=threads)
+        simulate(placement, model, 10, trials=1_000_000, seed=5, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -118,11 +118,11 @@ def test_draw_loop_memory_is_bounded_per_worker(threads):
 
 @pytest.mark.parametrize("block_entries", [1, 37, 1 << 30])
 def test_draw_block_size_does_not_change_counts(monkeypatch, block_entries):
-    placement = canonicalize_placement([3, 2, 1], n=7)
+    placement = canonicalize_placement([3, 2, 1])
     model = SensorModel(p_d=0.65, p_f=0.3)
-    default = simulate(placement, model, trials=70_001, seed=4)
+    default = simulate(placement, model, 7, trials=70_001, seed=4)
     monkeypatch.setattr(montecarlo, "DRAW_BLOCK_ENTRIES", block_entries)
-    assert simulate(placement, model, trials=70_001, seed=4) == default
+    assert simulate(placement, model, 7, trials=70_001, seed=4) == default
 
 
 @pytest.mark.parametrize("m", range(1, MAX_M + 1))
@@ -156,12 +156,12 @@ def test_refuses_too_many_sensors_before_building_tables(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_decision_tables", no_tables)
     model = SensorModel(p_d=0.7, p_f=0.2)
-    placement = canonicalize_placement([MAX_M + 1], n=MAX_M + 1)
+    placement = canonicalize_placement([MAX_M + 1])
     with pytest.raises(ValueError, match="exceeds"):
-        simulate(placement, model, trials=10, seed=1)
+        simulate(placement, model, MAX_M + 1, trials=10, seed=1)
     # more sensors than the simulation's points
     with pytest.raises(ValueError, match="m=3 sensors exceed n=2 points"):
-        simulate(Placement((3,), 3, 3), model, n=2, trials=10, seed=1)
+        simulate(Placement((3,)), model, n=2, trials=10, seed=1)
 
 
 def test_decision_table_bound_edges(monkeypatch):
@@ -177,78 +177,78 @@ def test_decision_table_bound_edges(monkeypatch):
     edge = (1 << MAX_M) * (MAX_M + 1)
     for counts, n in (([MAX_M], MAX_M + 1), ([1], edge // 2)):
         with pytest.raises(Admitted):
-            simulate(canonicalize_placement(counts, n=n), model, n=n, trials=10)
+            simulate(canonicalize_placement(counts), model, n=n, trials=10)
     for counts, n in (([MAX_M], MAX_M + 2), ([1], edge // 2 + 1)):
         with pytest.raises(ValueError, match="exceeds"):
-            simulate(canonicalize_placement(counts, n=n), model, n=n, trials=10)
+            simulate(canonicalize_placement(counts), model, n=n, trials=10)
 
 
 def test_matches_exact_value_two_sensors():
-    placement = canonicalize_placement([2], n=2)
+    placement = canonicalize_placement([2])
     model = SensorModel(p_d=0.6, p_f=0.2)
-    result = simulate(placement, model, trials=1_000_000, seed=11)
+    result = simulate(placement, model, 2, trials=1_000_000, seed=11)
     assert result.trials == 1_000_000
     assert abs(result.pe_hat - 0.26) <= 4 * result.std_err
 
 
 def test_uninformative_four_points():
-    placement = canonicalize_placement([2, 1], n=4)
+    placement = canonicalize_placement([2, 1])
     model = SensorModel(p_d=0.35, p_f=0.35)
-    result = simulate(placement, model, trials=500_000, seed=5)
+    result = simulate(placement, model, 4, trials=500_000, seed=5)
     assert abs(result.pe_hat - 0.75) <= 4 * result.std_err
 
 
 def test_same_seed_same_result():
-    placement = canonicalize_placement([2, 1, 1], n=5)
+    placement = canonicalize_placement([2, 1, 1])
     model = SensorModel(p_d=0.8, p_f=0.3)
-    a = simulate(placement, model, trials=200_000, seed=99)
-    b = simulate(placement, model, trials=200_000, seed=99)
+    a = simulate(placement, model, 5, trials=200_000, seed=99)
+    b = simulate(placement, model, 5, trials=200_000, seed=99)
     assert a == b
 
 
 def test_thread_count_does_not_change_counts():
-    placement = canonicalize_placement([3, 1], n=5)
+    placement = canonicalize_placement([3, 1])
     model = SensorModel(p_d=0.7, p_f=0.25)
-    serial = simulate(placement, model, trials=300_000, seed=123, threads=1)
+    serial = simulate(placement, model, 5, trials=300_000, seed=123, threads=1)
     for threads in (0, 2, 4, 7):  # 5 chunks, so 7 is capped at 5 workers
-        pooled = simulate(placement, model, trials=300_000, seed=123, threads=threads)
+        pooled = simulate(placement, model, 5, trials=300_000, seed=123, threads=threads)
         assert serial == pooled
 
 
 def test_chunk_boundary_sizes():
-    placement = canonicalize_placement([2], n=3)
+    placement = canonicalize_placement([2])
     model = SensorModel(p_d=0.9, p_f=0.2)
-    exact = error_probability(placement, model).value
+    exact = error_probability(placement, model, 3).value
     for trials in (1, 65_536, 65_537, 131_072 + 17):
-        result = simulate(placement, model, trials=trials, seed=3)
+        result = simulate(placement, model, 3, trials=trials, seed=3)
         assert 0 <= result.errors <= trials
         if trials > 10_000:
             assert abs(result.pe_hat - exact) <= 5 * result.std_err
 
 
 def test_lowest_index_tie_rule_also_optimal():
-    placement = canonicalize_placement([2, 2], n=5)
+    placement = canonicalize_placement([2, 2])
     model = SensorModel(p_d=0.75, p_f=0.3)
-    exact = error_probability(placement, model).value
+    exact = error_probability(placement, model, 5).value
     result = simulate(
-        placement, model, trials=400_000, seed=21, tie_rule="lowest_index"
+        placement, model, 5, trials=400_000, seed=21, tie_rule="lowest_index"
     )
     assert result.pe_hat <= exact + 4 * result.std_err
 
 
 def test_validation_errors():
-    placement = canonicalize_placement([2], n=2)
+    placement = canonicalize_placement([2])
     model = SensorModel(p_d=0.6, p_f=0.2)
     with pytest.raises(ValueError):
-        simulate(placement, model, trials=0, seed=1)
+        simulate(placement, model, 2, trials=0, seed=1)
     with pytest.raises(ValueError):
-        simulate(placement, model, trials=10, seed=1, tie_rule="coin_flip")
+        simulate(placement, model, 2, trials=10, seed=1, tie_rule="coin_flip")
 
 
 def test_std_err_formula():
-    placement = canonicalize_placement([1, 1], n=2)
+    placement = canonicalize_placement([1, 1])
     model = SensorModel(p_d=0.9, p_f=0.1)
-    result = simulate(placement, model, trials=10_000, seed=7)
+    result = simulate(placement, model, 2, trials=10_000, seed=7)
     expected = (result.pe_hat * (1 - result.pe_hat) / result.trials) ** 0.5
     assert result.std_err == pytest.approx(expected, rel=1e-12)
 
@@ -265,8 +265,8 @@ def test_decision_table_matches_per_observation_map_decide():
     models += [SensorModel(p_d=rng.random(), p_f=rng.random()) for _ in range(5)]
     for model, m in zip(models, (7, 3, 5, 6, 4, 7, 2, 6, 1, 5)):
         counts = rng.choice(list(enumerate_partitions(m)))
-        placement = canonicalize_placement(counts, n=rng.randint(m, m + 2))
-        n = placement.n + rng.randint(0, 1)
+        placement, n = canonicalize_placement(counts), rng.randint(m, m + 2)
+        n += rng.randint(0, 1)
         tie_table, tie_len = _decision_tables(placement, model, n)
         assert tie_table.shape == (1 << m, n)
         table = PmfTable.build(placement, model, n)

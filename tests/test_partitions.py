@@ -59,7 +59,7 @@ def test_no_duplicates_and_sums():
 def test_roundtrip_through_canonicalize():
     for m in range(1, 13):
         for counts in enumerate_partitions(m):
-            assert canonicalize_placement(counts, n=m).counts == counts
+            assert canonicalize_placement(counts).counts == counts
 
 
 def test_bounds():
