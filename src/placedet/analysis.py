@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import BudgetError, argmin_with_ties, check_call, optimal_placements, partition_pes
-from .majorization import MajorizationVerdict, PlacementScale, chain_sort, compare, is_chain
+from .majorization import PlacementScale, chain_sort, is_chain
 from .model import SensorModel, placement_label
 from .partitions import MAX_M, enumerate_partitions
 
@@ -411,7 +411,7 @@ def verify_thm42(m: int, n1: int, n2: int, step: float = 0.05) -> VerificationRe
     )
 
 
-def verify_cor41(m: int, step: float = 0.01) -> VerificationReport:
+def verify_cor41(m: int = 3, step: float = 0.01) -> VerificationReport:
     """Adding one empty point enlarges the strict-optimal set by exactly uniform.
 
     Sweeps (m, m) and (m, m+1) and compares strict-optimal inventories:
@@ -519,7 +519,8 @@ def verify_prop51(m: int, n: int, step: float = 0.01) -> VerificationReport:
 
 
 def verify_prop51_pairs(
-    pairs: Sequence[tuple[int, int]], step: float = 0.01
+    pairs: Sequence[tuple[int, int]] = ((3, 3), (3, 4), (4, 4), (4, 5), (5, 6)),
+    step: float = 0.01,
 ) -> list[VerificationReport]:
     """:func:`verify_prop51` of each (m, n) in order; a run of one m is swept in one call."""
     reports = []
@@ -630,11 +631,7 @@ def check_conjecture_chain(region_map: RegionMap) -> VerificationReport:
             continue
         # chosen is a chain, so b extends it exactly when b is comparable
         # with every member
-        compatible = [
-            b
-            for b in best
-            if all(compare(b, c) is not MajorizationVerdict.INCOMPARABLE for c in chosen)
-        ]
+        compatible = [b for b in best if is_chain([b, *chosen])[0]]
         if compatible:
             chosen.add(compatible[0])
         else:

@@ -22,8 +22,8 @@ import sys
 
 from . import analysis, montecarlo
 from .detection import BudgetError, error_probability, optimal_placements
-from .majorization import MajorizationVerdict, compare
-from .model import Placement, SensorModel, canonicalize_placement, placement_label
+from .majorization import MajorizationVerdict, verdict_matrix
+from .model import SensorModel, canonicalize_placement, placement_label
 from .partitions import enumerate_partitions
 
 SCHEMA_VERSION = "1"
@@ -36,7 +36,6 @@ _VERIFY_FLAGS = {  # the value flags each verify target reads; --threads is acce
     "counterexample": (),
     "conjecture": ("m", "n", "step"),
 }
-_PROP51_PAIRS = ((3, 3), (3, 4), (4, 4), (4, 5), (5, 6))
 
 
 def _parse_placement(text: str) -> tuple[int, ...]:
@@ -285,11 +284,11 @@ def _run_verify(args: argparse.Namespace) -> list[analysis.VerificationReport]:
     if target == "thm42":
         return [analysis.verify_thm42(args.m, args.n1, args.n2, **step)]
     if target == "cor41":
-        m = 3 if args.m is None else args.m
-        return [analysis.verify_cor41(m, **step)]
+        m = {} if args.m is None else {"m": args.m}
+        return [analysis.verify_cor41(**m, **step)]
     if target == "prop51":
-        pairs = _PROP51_PAIRS if args.m is None else ((args.m, args.n),)
-        return analysis.verify_prop51_pairs(pairs, **step)
+        pairs = {} if args.m is None else {"pairs": ((args.m, args.n),)}
+        return analysis.verify_prop51_pairs(**pairs, **step)
     if target == "counterexample":
         return [analysis.verify_counterexample()]
     if target == "conjecture":
@@ -298,27 +297,15 @@ def _run_verify(args: argparse.Namespace) -> list[analysis.VerificationReport]:
     raise AssertionError(f"unhandled verify target {target}")
 
 
-_VERDICT_CODES = {
-    MajorizationVerdict.STRICTLY_ABOVE: "A",
-    MajorizationVerdict.STRICTLY_BELOW: "B",
-    MajorizationVerdict.EQUAL: "E",
-    MajorizationVerdict.INCOMPARABLE: "I",
-}
+_VERDICT_CODES = {v: v.value[0].upper() for v in MajorizationVerdict}  # A, B, E, I
 
 
 def _majorize_csv(m: int) -> str:
-    parts = [Placement(p) for p in enumerate_partitions(m)]  # canonical: compare reads them as is
-    labels = [p.label() for p in parts]
-    # each unordered pair is decided once: compare(q, p) is compare(p, q) flipped
-    codes = [["E"] * len(parts) for _ in parts]
-    for i, p in enumerate(parts):
-        for j in range(i + 1, len(parts)):
-            verdict = compare(p, parts[j])
-            codes[i][j] = _VERDICT_CODES[verdict]
-            codes[j][i] = _VERDICT_CODES[verdict.flipped()]
+    parts = enumerate_partitions(m)
+    labels = [placement_label(p) for p in parts]
     lines = ["placement," + ",".join(labels)]
-    for label, row in zip(labels, codes):
-        lines.append(label + "," + ",".join(row))
+    for label, row in zip(labels, verdict_matrix(parts)):
+        lines.append(label + "," + ",".join(_VERDICT_CODES[v] for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -4,15 +4,17 @@ x is majorized by y (y strictly above x here) when, after sorting both
 non-increasingly and zero-padding to a common length, every prefix sum of y
 dominates the corresponding prefix sum of x and the totals agree. The order
 is partial: e.g. (4,1,1) and (3,3) are incomparable. A placement scale is a
-totally ordered chain, listed highest (most concentrated) first.
+totally ordered chain, listed highest (most concentrated) first. Every
+verdict is read from one prefix-sum dominance matrix, :func:`_dominance`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import Sequence
+
+import numpy as np
 
 from .model import Placement, canonicalize_placement
 
@@ -25,52 +27,63 @@ class MajorizationVerdict(Enum):
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
 
-    def flipped(self) -> "MajorizationVerdict":
-        if self is MajorizationVerdict.STRICTLY_ABOVE:
-            return MajorizationVerdict.STRICTLY_BELOW
-        if self is MajorizationVerdict.STRICTLY_BELOW:
-            return MajorizationVerdict.STRICTLY_ABOVE
-        return self
+
+_VERDICTS = np.array([MajorizationVerdict.INCOMPARABLE, MajorizationVerdict.STRICTLY_ABOVE,
+                      MajorizationVerdict.STRICTLY_BELOW, MajorizationVerdict.EQUAL],
+                     dtype=object)  # indexed by ge[i, j] + 2 * ge[j, i]
 
 
 def _as_counts(x: Placement | Counts) -> tuple[int, ...]:
     return x.counts if isinstance(x, Placement) else canonicalize_placement(x).counts
 
 
+def _dominance(placements: Sequence[Placement | Counts]) -> tuple[list, np.ndarray]:
+    """Each input's canonical counts, and ``ge[i, j]``: i's zero-padded prefix sums dominate j's.
+
+    Each input is canonicalized once; unequal totals are refused before any
+    pair is decided. ``ge[i, j] and ge[j, i]`` means the counts are equal.
+    """
+    counts = [_as_counts(p) for p in placements]
+    odd = next((c for c in counts if sum(c) != sum(counts[0])), None)
+    if odd is not None:
+        raise ValueError(f"totals differ: sum{counts[0]}={sum(counts[0])} vs sum{odd}={sum(odd)}")
+    prefix = np.zeros((len(counts), max(map(len, counts), default=0)), dtype=np.int64)
+    for row, c in zip(prefix, counts):
+        row[: len(c)] = c
+    np.cumsum(prefix, axis=1, out=prefix)
+    return counts, (prefix[:, None, :] >= prefix[None, :, :]).all(axis=2)
+
+
+def _first_incomparable(counts: list[tuple[int, ...]], ge: np.ndarray):
+    """The first incomparable (i, j), i < j, in row-major order, as counts; else None."""
+    i, j = np.nonzero(np.triu(~(ge | ge.T), 1))
+    return (counts[i[0]], counts[j[0]]) if i.size else None
+
+
+def verdict_matrix(placements: Sequence[Placement | Counts]) -> list[list[MajorizationVerdict]]:
+    """Every ordered verdict: ``[i][j]`` is ``compare(placements[i], placements[j])``."""
+    _, ge = _dominance(placements)
+    return _VERDICTS[ge + 2 * ge.T].tolist()
+
+
 def compare(x: Placement | Counts, y: Placement | Counts) -> MajorizationVerdict:
     """Classify the pair: x above/below/equal/incomparable relative to y.
 
-    Requires equal totals (both partition the same M); comparison pads with
-    zeros to a common length, so the verdict does not depend on how many
-    trailing zeros either side carries.
+    Requires equal totals; trailing zeros on either side do not change the verdict.
     """
-    cx, cy = _as_counts(x), _as_counts(y)
-    if sum(cx) != sum(cy):
-        raise ValueError(f"totals differ: sum{cx}={sum(cx)} vs sum{cy}={sum(cy)}")
-    if cx == cy:
-        return MajorizationVerdict.EQUAL
-    length = max(len(cx), len(cy))
-    px = list(accumulate(cx + (0,) * (length - len(cx))))
-    py = list(accumulate(cy + (0,) * (length - len(cy))))
-    x_ge = all(a >= b for a, b in zip(px, py))
-    y_ge = all(b >= a for a, b in zip(px, py))
-    if x_ge:
-        return MajorizationVerdict.STRICTLY_ABOVE
-    if y_ge:
-        return MajorizationVerdict.STRICTLY_BELOW
-    return MajorizationVerdict.INCOMPARABLE
+    return verdict_matrix((x, y))[0][1]
 
 
 def is_chain(
     placements: Sequence[Placement | Counts],
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """True when every pair is comparable; otherwise also the first offending pair."""
-    counts = [_as_counts(p) for p in placements]
-    for i in range(len(counts)):
-        for j in range(i + 1, len(counts)):
-            if compare(counts[i], counts[j]) is MajorizationVerdict.INCOMPARABLE:
-                return False, (counts[i], counts[j])
-    return True, None
+    """True when every pair is comparable; otherwise also the first offending pair.
+
+    The offending pair is the first (i, j), i < j, in input order. Unequal
+    totals are refused with ``ValueError``, whatever the pairs before them.
+    """
+    pair = _first_incomparable(*_dominance(placements))
+    return pair is None, pair
 
 
 @dataclass(frozen=True)
@@ -96,22 +109,15 @@ class PlacementScale:
 
 
 def chain_sort(placements: Sequence[Placement | Counts]) -> PlacementScale:
-    """Sort a chain descending by majorization.
+    """Sort a chain's distinct members descending by majorization.
 
-    On a chain the prefix-sum sequences are themselves totally ordered, so
-    sorting by padded prefix sums lexicographically (descending) realizes the
-    majorization order without repeated pairwise comparisons. Raises with the
+    On a chain a higher member dominates strictly more inputs than a lower
+    one, so the members sort by their dominance counts. Raises with the
     offending pair when the input is not a chain.
     """
-    ok, pair = is_chain(placements)
-    if not ok:
-        assert pair is not None
+    counts, ge = _dominance(placements)
+    pair = _first_incomparable(counts, ge)
+    if pair is not None:
         raise ValueError(f"not a chain: {pair[0]} and {pair[1]} are incomparable")
-    counts = [_as_counts(p) for p in placements]
-    length = max((len(c) for c in counts), default=0)
-
-    def prefix_key(c: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(accumulate(c + (0,) * (length - len(c))))
-
-    ordered = sorted(set(counts), key=prefix_key, reverse=True)
-    return PlacementScale(members=tuple(ordered))
+    order = np.argsort(-ge.sum(axis=1), kind="stable").tolist()
+    return PlacementScale(members=tuple(dict.fromkeys(counts[i] for i in order)))

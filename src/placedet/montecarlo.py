@@ -15,9 +15,10 @@ process the chunks. Chunk i's generator is seeded with
 
 Before any chunk runs, ``simulate`` builds its tables once: the decision
 table (the argmax set of every observation, padded to n columns, with the
-size of each set), and a threshold table of shape (n + 1, m) that holds in
+size of each set), and a threshold table of shape (k + 2, m) that holds in
 row x the alarm probability of every sensor when the intruder is at x (p_d
 on x's block, p_f elsewhere), so a trial's alarms are ``u < thresholds[x]``.
+Every empty point reads the same all-p_f row, k + 1, through a clipped take.
 
 Each worker allocates its buffers once and reuses them for every chunk of
 its stripe; per chunk the loop allocates only the positions x. A chunk
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import map_decide
+from .detection import check_call, map_decide
 from .model import Placement, PmfTable, SensorModel
 from .partitions import MAX_M
 
@@ -76,16 +77,17 @@ def simulate(
 ) -> SimResult:
     """Estimate P_e by simulation; reproducible for a given seed.
 
-    The decision table (argmax set per observation) and the (n + 1, m) table
+    The decision table (argmax set per observation) and the (k + 2, m) table
     of per-sensor alarm probabilities are built once. Each worker then makes
     one pass over the row blocks of each chunk it runs: per trial a position,
     m uniforms compared against its threshold row, one matmul row for the
     observation index and a table lookup, with tie uniforms from a generator
     advanced past the chunk's alarm uniforms. The counts depend only on
     (placement, model, n, trials, seed, tie_rule), not on ``threads``.
-    The decision table has 2^m x n entries, so it may hold no more than at
-    ``partitions.MAX_M`` sensors on MAX_M + 1 points; a larger (m, n), or
-    m > n, is refused before any table is built.
+    ``detection.check_call`` refuses m > n and more than ``partitions.MAX_M``
+    sensors. The decision table has 2^m x n entries, so it may hold no more
+    than at MAX_M sensors on MAX_M + 1 points. Each refusal comes before any
+    table is built.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -94,8 +96,7 @@ def simulate(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     m = placement.m
-    if m > n:
-        raise ValueError(f"m={m} sensors exceed n={n} points")
+    check_call((placement.counts,), (n,), [model.p_f], [model.p_d])  # m <= n, the sensor bound
     if (1 << m) * n > (1 << MAX_M) * (MAX_M + 1):
         raise ValueError(
             f"m={m}, n={n} exceeds the simulation bound: the decision table has "
@@ -105,7 +106,7 @@ def simulate(
     # 1-D lookups: the first tie by observation, any tie by obs * n + pick
     first_tie = np.ascontiguousarray(tie_table[:, 0])
     flat_ties = tie_table.ravel()
-    thresholds = _alarm_thresholds(placement, model, n)
+    thresholds = _alarm_thresholds(placement, model)
     weights = _index_weights(m)
     rows = min(max(1, DRAW_BLOCK_ENTRIES // m), CHUNK_TRIALS, trials)  # block rows
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
@@ -129,7 +130,9 @@ def simulate(
                 tie_rng.bit_generator.state = bitgen.state
                 tie_rng.bit_generator.advance(size * m)
             # every np.take below uses mode="clip", which writes straight into
-            # out (the indices are in range); the default "raise" buffers a copy
+            # out; the default "raise" buffers a copy. The threshold take relies
+            # on the clip: it sends every empty point x > k + 1 to the last row,
+            # which is all p_f as theirs would be. The other indices are in range
             for lo in range(0, size, rows):
                 b = min(rows, size - lo)
                 rng.random(out=u[:b])
@@ -167,16 +170,16 @@ def simulate(
     )
 
 
-def _alarm_thresholds(placement: Placement, model: SensorModel, n: int) -> np.ndarray:
-    """(n + 1, m) alarm probabilities: row x is p_d on x's block, p_f elsewhere.
+def _alarm_thresholds(placement: Placement, model: SensorModel) -> np.ndarray:
+    """(k + 2, m) alarm probabilities: row x is p_d on x's block, p_f elsewhere.
 
-    Row 0 is unused (positions are 1-based); rows past the occupied points
-    are all p_f.
+    Row 0 is unused (positions are 1-based). Row k + 1, all p_f, stands for
+    every empty point, whatever n is.
     """
     point_of_sensor = np.repeat(
         np.arange(1, placement.k + 1, dtype=np.int64), placement.counts
     )
-    at_x = np.arange(n + 1, dtype=np.int64)[:, None] == point_of_sensor[None, :]
+    at_x = np.arange(placement.k + 2, dtype=np.int64)[:, None] == point_of_sensor[None, :]
     return np.where(at_x, model.p_d, model.p_f)
 
 

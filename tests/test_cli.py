@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, validation, exit codes, artifacts."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import placedet
-from placedet import cli, detection, montecarlo
+from placedet import cli, detection, majorization, montecarlo
 from placedet.cli import main
 
 
@@ -110,21 +111,20 @@ def test_majorize_matrix(capsys):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_majorize_matrix_decides_each_pair_once(monkeypatch, m):
-    # the matrix equals the one built by comparing every ordered pair
+    # the matrix equals the one built by comparing every ordered pair, and
+    # the CLI reads one verdict matrix: it calls no compare
     parts = placedet.enumerate_partitions(m)
     all_pairs = ["placement," + ",".join("-".join(map(str, p)) for p in parts)]
     for p in parts:
         row = [cli._VERDICT_CODES[placedet.compare(p, q)] for q in parts]
         all_pairs.append("-".join(map(str, p)) + "," + ",".join(row))
-    calls = []
 
-    def counted(p, q):
-        calls.append((p, q))
-        return placedet.compare(p, q)
+    def no_compare(p, q):
+        raise AssertionError("compare called")
 
-    monkeypatch.setattr(cli, "compare", counted)
+    monkeypatch.setattr(majorization, "compare", no_compare)
+    assert not hasattr(cli, "compare")
     assert cli._majorize_csv(m) == "\n".join(all_pairs) + "\n"
-    assert len(calls) == len(parts) * (len(parts) - 1) // 2
 
 
 def test_sweep_writes_csv_atomically(tmp_path, capsys):
@@ -224,6 +224,8 @@ def test_sweep_step_refusal_names_its_class(capsys, step, prefix):
         ("verify", "thm41", "--max-m", "21"),
         ("pe", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "1-0-1"),
         ("simulate", "--n", "2", "--pd", "0.6", "--pf", "0.2", "--placement", "1-0-1"),
+        ("simulate", "--n", "21", "--pd", "0.7", "--pf", "0.2", "--placement", "21",
+         "--trials", "10"),
     ],
 )
 def test_refusals_come_before_any_table(monkeypatch, capsys, argv):
@@ -235,7 +237,7 @@ def test_refusals_come_before_any_table(monkeypatch, capsys, argv):
         (detection, "class_table"),
         (montecarlo, "_decision_tables"),
         (montecarlo, "_alarm_thresholds"),
-        (cli, "compare"),
+        (cli, "verdict_matrix"),
     ):
         monkeypatch.setattr(module, name, no_table)
     code, out, err = run(capsys, *argv)
@@ -363,13 +365,26 @@ def test_verify_passes_only_the_flags_given(capsys, monkeypatch):
         seen.append(kwargs)
         return report
 
+    def record_each(**kwargs):
+        seen.append(kwargs)
+        return [report]
+
+    assert inspect.signature(analysis.verify_cor41).parameters["m"].default == 3
+    assert inspect.signature(analysis.verify_prop51_pairs).parameters["pairs"].default == (
+        (3, 3), (3, 4), (4, 4), (4, 5), (5, 6))
     monkeypatch.setattr(analysis, "verify_thm41", record)
     monkeypatch.setattr(analysis, "verify_counterexample", record)
+    monkeypatch.setattr(analysis, "verify_cor41", record)
+    monkeypatch.setattr(analysis, "verify_prop51_pairs", record_each)
     assert main(["verify", "thm41"]) == 0
     assert main(["verify", "thm41", "--max-m", "6", "--threads", "2"]) == 0
     assert main(["verify", "counterexample", "--threads", "2"]) == 0
+    assert main(["verify", "cor41"]) == 0
+    assert main(["verify", "cor41", "--m", "4", "--step", "0.05"]) == 0
+    assert main(["verify", "prop51", "--threads", "2"]) == 0
+    assert main(["verify", "prop51", "--m", "4", "--n", "5"]) == 0
     capsys.readouterr()
-    assert seen == [{}, {"m_max": 6}, {}]
+    assert seen == [{}, {"m_max": 6}, {}, {}, {"m": 4, "step": 0.05}, {}, {"pairs": ((4, 5),)}]
 
 
 @pytest.mark.parametrize(
@@ -490,6 +505,15 @@ def test_verify_stdout_digests(capsys, argv, digest):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of majorize at the sensor bound, recorded while the CLI
+# still decided each pair with its own compare call
+def test_majorize_stdout_digest(capsys):
+    code, out, err = run(capsys, "majorize", "--m", "20")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "21d2e37ecb01d245ded0bf2d08b55db1a5151a3bc9508b64c6bfc4b738f42675")
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):

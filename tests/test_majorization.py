@@ -11,12 +11,15 @@ from placedet import (
     compare,
     enumerate_partitions,
     is_chain,
+    majorization,
 )
+from placedet.majorization import verdict_matrix
 
 A = MajorizationVerdict.STRICTLY_ABOVE
 B = MajorizationVerdict.STRICTLY_BELOW
 E = MajorizationVerdict.EQUAL
 I = MajorizationVerdict.INCOMPARABLE
+MIRROR = {A: B, B: A, E: E, I: I}
 
 
 def test_concentrated_above_spread():
@@ -61,7 +64,7 @@ def test_antisymmetry_and_transitivity_exhaustive():
         for x, y in itertools.product(parts, parts):
             verdicts[x, y] = compare(x, y)
         for x, y in itertools.product(parts, parts):
-            assert verdicts[x, y] is verdicts[y, x].flipped()
+            assert verdicts[x, y] is MIRROR[verdicts[y, x]]
         for x, y, z in itertools.product(parts, parts, parts):
             if verdicts[x, y] is A and verdicts[y, z] is A:
                 assert verdicts[x, z] is A
@@ -92,6 +95,55 @@ def test_is_chain_reports_offender():
     ok, pair = is_chain([(4, 1, 1), (3, 3)])
     assert not ok
     assert set(pair) == {(4, 1, 1), (3, 3)}
+
+
+def test_is_chain_reports_first_offender_in_input_order():
+    # two incomparable pairs, (3, 1, 1, 1)-(2, 2, 2) and (3, 3)-(4, 1, 1):
+    # the first (i, j), i < j, in row-major order is reported, so (1, 4)
+    # comes before (2, 3)
+    ok, pair = is_chain([(6,), (3, 1, 1, 1), (3, 3), (4, 1, 1), (2, 2, 2)])
+    assert not ok
+    assert pair == ((3, 1, 1, 1), (2, 2, 2))
+    ok, pair = is_chain([(6,), (3, 3), (4, 1, 1), (3, 1, 1, 1), (2, 2, 2)])
+    assert pair == ((3, 3), (4, 1, 1))
+
+
+def test_unequal_totals_refused_before_any_pair():
+    # an incomparable pair before the unequal total does not hide it: the
+    # whole input is refused (the pairwise loop returned (False, pair) here)
+    for check in (is_chain, chain_sort, verdict_matrix):
+        with pytest.raises(ValueError, match="totals differ"):
+            check([(4, 1, 1), (3, 3), (5,)])
+
+
+def test_each_input_canonicalized_once(monkeypatch):
+    calls = []
+
+    def counted(raw):
+        calls.append(raw)
+        return canonicalize_placement(raw)
+
+    monkeypatch.setattr(majorization, "canonicalize_placement", counted)
+    parts = [p + (0,) for p in enumerate_partitions(6)]
+    for check in (is_chain, chain_sort, verdict_matrix):
+        calls.clear()
+        try:
+            check(parts)
+        except ValueError:  # the partitions of 6 are not a chain
+            pass
+        assert calls == parts
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_verdict_matrix_matches_pairwise_compare(m):
+    parts = enumerate_partitions(m)
+    assert verdict_matrix(parts) == [[compare(x, y) for y in parts] for x in parts]
+
+
+def test_verdict_matrix_of_nothing_and_of_one():
+    assert verdict_matrix([]) == []
+    assert verdict_matrix([(2, 1, 0)]) == [[E]]
+    assert chain_sort([]).members == ()
 
 
 def test_is_chain_singleton():

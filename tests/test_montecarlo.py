@@ -101,6 +101,23 @@ def test_counts_match_unblocked_oracle(
             assert result.errors == expected, (trials, threads)
 
 
+@pytest.mark.parametrize("tie_rule", ["uniform_random", "lowest_index"])
+def test_points_past_the_threshold_rows_match_unblocked_oracle(tie_rule):
+    # n >> k: the (k + 2, m) threshold table has one all-p_f row, and the
+    # clipped take sends every empty point x > k + 1 to it
+    placement, n = canonicalize_placement((2, 1)), 1000
+    model = SensorModel(p_d=0.9, p_f=0.05)
+    assert montecarlo._alarm_thresholds(placement, model).shape == (placement.k + 2, 3)
+    for trials in (1, CHUNK_TRIALS + 5):
+        expected = simulate_errors_unblocked(
+            (2, 1), n, 0.9, 0.05, trials, 9, tie_rule, CHUNK_TRIALS, MAP_TIE_RTOL
+        )
+        for threads in (1, 2):
+            result = simulate(placement, model, n, trials=trials, seed=9, tie_rule=tie_rule,
+                              threads=threads)
+            assert result.errors == expected, (trials, threads)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_draw_loop_memory_is_bounded_per_worker(threads):
     # the per-worker buffers take about 1.4 MiB at m = 9; a loop that
@@ -156,8 +173,10 @@ def test_refuses_too_many_sensors_before_building_tables(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_decision_tables", no_tables)
     model = SensorModel(p_d=0.7, p_f=0.2)
+    monkeypatch.setattr(montecarlo, "_alarm_thresholds", no_tables)
     placement = canonicalize_placement([MAX_M + 1])
-    with pytest.raises(ValueError, match="exceeds"):
+    # the sensor bound every evaluator states, not the decision-table bound
+    with pytest.raises(ValueError, match=f"^m={MAX_M + 1} sensors exceed the sensor bound {MAX_M}$"):
         simulate(placement, model, MAX_M + 1, trials=10, seed=1)
     # more sensors than the simulation's points
     with pytest.raises(ValueError, match="m=3 sensors exceed n=2 points"):
